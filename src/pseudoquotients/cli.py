@@ -186,10 +186,7 @@ def main(argv=None) -> int:
     except ParseError as error:
         print(f"syntax error: {error}", file=sys.stderr)
         return 2
-    except (DomainError, UsageError) as error:
-        print(f"domain error: {error}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as error:
+    except (DomainError, UsageError, OSError, json.JSONDecodeError) as error:
         print(f"domain error: {error}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,8 @@ completion of ``X``:
 This module implements that calculus once, generically.  A concrete
 :class:`Instance` supplies the semigroup operation, the action, decidable
 element equality (a faithful normal form), a deterministic Ore witness,
-and a canonical form for classes; equivalence testing, the embedding,
+and a canonical form for classes, and describes its own text syntax,
+JSON shape and verifier presets; equivalence testing, the embedding,
 extensions, and the fraction group are derived here and shared by every
 instance.
 
@@ -34,13 +35,14 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "DomainError",
     "GroupFraction",
     "Instance",
     "OreWitness",
+    "Preset",
     "Pseudoquotient",
     "UsageError",
     "frac_inverse",
@@ -92,8 +94,9 @@ def frac_inverse(frac: GroupFraction) -> GroupFraction:
 class Instance(ABC):
     """One concrete action (X, S), with the derived pseudoquotient calculus.
 
-    Subclasses provide the hooks in the first block.  Obligations on the
-    hooks, spot-checked by the bounded verifier and the test suite:
+    Subclasses provide the hooks in the first block and set ``name``,
+    ``element_type`` and ``point_type``.  Obligations on the hooks,
+    spot-checked by the bounded verifier and the test suite:
 
     * every element acts injectively on the instance's points;
     * element equality is decidable and faithful -- two elements compare
@@ -108,6 +111,8 @@ class Instance(ABC):
     """
 
     name: str = "abstract"
+    element_type: type = object
+    point_type: type = object
 
     # ------------------------------------------------------------------
     # hooks supplied by each instance
@@ -145,6 +150,50 @@ class Instance(ABC):
     @abstractmethod
     def random_point(self, rng: random.Random) -> Any:
         """Draw a small random point of X."""
+
+    # --- text syntax, JSON shape and verifier presets -------------------
+
+    @abstractmethod
+    def parse_element(self, text: str, offset: int = 0) -> Any:
+        """Parse one element; ``offset`` is where ``text`` starts in the whole input."""
+
+    @abstractmethod
+    def element_text(self, f: Any) -> str:
+        """Print an element in the syntax :meth:`parse_element` reads back."""
+
+    @abstractmethod
+    def parse_point(self, text: str, offset: int = 0) -> Any:
+        """Parse one point; ``offset`` is where ``text`` starts in the whole input."""
+
+    @abstractmethod
+    def point_text(self, x: Any) -> str:
+        """Print a point in the syntax :meth:`parse_point` reads back."""
+
+    @abstractmethod
+    def canonical_json(self, value: Any) -> dict:
+        """Render a canonical value as JSON; rationals become exact ``"p/q"`` strings."""
+
+    @classmethod
+    @abstractmethod
+    def presets(cls) -> dict[str, Preset]:
+        """Ready-made presentations of this action for the bounded verifier, by label."""
+
+    @classmethod
+    def create(cls, dim: int = 1) -> Instance:
+        """The instance acting on points of dimension ``dim``; most actions have none."""
+        return cls()
+
+    # --- type checks ----------------------------------------------------
+
+    def _check_element(self, f: Any) -> Any:
+        if not isinstance(f, self.element_type):
+            raise UsageError(f"expected {self.element_type.__name__}, got {type(f).__name__}")
+        return f
+
+    def _check_point(self, x: Any) -> Any:
+        if not isinstance(x, self.point_type):
+            raise UsageError(f"expected {self.point_type.__name__}, got {type(x).__name__}")
+        return x
 
     # ------------------------------------------------------------------
     # derived calculus
@@ -241,3 +290,18 @@ class Instance(ABC):
 
     def random_fraction(self, rng: random.Random) -> GroupFraction:
         return GroupFraction(self.random_element(rng), self.random_element(rng))
+
+
+class Preset(NamedTuple):
+    """A finite presentation of one instance for the bounded verifier.
+
+    The verifier acts with the named ``generators`` (elements of
+    ``instance``) on ``samples``, over words of up to ``depth`` letters.
+    ``from_rules``, if set, rebuilds the instance from a config's custom rules.
+    """
+
+    instance: Instance
+    generators: tuple[tuple[str, Any], ...]
+    samples: tuple
+    depth: int
+    from_rules: Callable[[Any], Instance] | None = None

@@ -1,43 +1,19 @@
 """Text syntax for elements, points, pseudoquotients, and fractions.
 
-One small grammar per instance, with exact round-tripping:
-``parse(print(value)) == value`` for every value.  Rational numbers are
-written ``p/q`` (or a bare integer); no floats anywhere.
-
-============= =========================== ==========================
-instance      element                     point
-============= =========================== ==========================
-power-affine  ``3*x^2``                   ``12``
-affine-lattice``aff([[2,0],[0,1]],[1,0])``  ``[5,0]``
-dyadic-steps  ``t^2 d^1``                 ``[3,1/2]``
-tower         ``P1^1 P3^2 F^2``           ``(2, 5)`` (level, payload)
-============= =========================== ==========================
-
-Composite forms, for any instance: ``pq(<point>; <element>)`` and
+Each instance describes its own element and point syntax (see the
+modules in :mod:`pseudoquotients.instances`), with exact round-tripping:
+``parse(print(value)) == value`` for every value.  This module looks
+the instance up by its public name and adds two composite forms that
+work for any instance: ``pq(<point>; <element>)`` and
 ``frac(<element>, <element>)``, where ``frac(f, g)`` denotes the group
 element "apply g, then undo f".
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
-
-from .core import DomainError, GroupFraction, Pseudoquotient
-from .instances import (
-    AffineLatticeMap,
-    DyadicStepMap,
-    DyadicSteps,
-    DyadicStepValue,
-    PowerAffineMap,
-    RootValue,
-    StepFunction,
-    Tower,
-    TowerMap,
-    TowerPoint,
-    TowerValue,
-    INSTANCE_NAMES,
-)
+from .core import GroupFraction, Pseudoquotient
+from .instances import create_instance
+from .syntax import ParseError, split_top_level, unwrap
 
 __all__ = [
     "ParseError",
@@ -53,287 +29,57 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
-    """A syntax error, carrying the offset at which parsing failed."""
-
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
-
-
-def _check_instance(name: str) -> str:
-    if name not in INSTANCE_NAMES:
-        raise DomainError(f"unknown instance {name!r}; choose one of {', '.join(INSTANCE_NAMES)}")
-    return name
-
-
-def _split_top_level(text: str, separator: str, offset: int = 0) -> list[tuple[str, int]]:
-    """Split at separators outside brackets; return pieces with their offsets."""
-    pieces = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets", offset + i)
-        elif ch == separator and depth == 0:
-            pieces.append((text[start:i], offset + start))
-            start = i + 1
-    if depth != 0:
-        raise ParseError("unbalanced brackets", offset + len(text))
-    pieces.append((text[start:], offset + start))
-    return pieces
-
-
-def _parse_int(text: str, offset: int) -> int:
-    value = text.strip()
-    if not re.fullmatch(r"-?\d+", value):
-        raise ParseError(f"expected an integer, got {text.strip()!r}", offset)
-    return int(value)
-
-
-def _parse_rational(text: str, offset: int) -> Fraction:
-    value = text.strip()
-    match = re.fullmatch(r"(-?\d+)\s*(?:/\s*(\d+))?", value)
-    if not match:
-        raise ParseError(f"expected a rational p/q, got {text.strip()!r}", offset)
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) else 1
-    if denominator == 0:
-        raise DomainError("zero denominator in rational literal")
-    return Fraction(numerator, denominator)
-
-
-def _strip_call(text: str, head: str) -> tuple[str, int]:
-    """Peel ``head( ... )`` and return the inside with its offset."""
-    stripped = text.strip()
-    lead = len(text) - len(text.lstrip())
-    if not stripped.startswith(head + "(") or not stripped.endswith(")"):
-        raise ParseError(f"expected {head}(...)", lead)
-    return stripped[len(head) + 1 : -1], lead + len(head) + 1
-
-
-def _parse_bracketed(text: str, offset: int) -> tuple[list[tuple[str, int]], int]:
-    stripped = text.strip()
-    lead = offset + len(text) - len(text.lstrip())
-    if not stripped.startswith("[") or not stripped.endswith("]"):
-        raise ParseError("expected a [...] list", lead)
-    inside = stripped[1:-1]
-    if not inside.strip():
-        return [], lead + 1
-    return _split_top_level(inside, ",", lead + 1), lead + 1
-
-
-# ----------------------------------------------------------------------
-# elements
-# ----------------------------------------------------------------------
-
-_POWER_ELEMENT = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x\s*(?:\^\s*(-?\d+))?\s*$")
-
-
-def _parse_power_element(text: str) -> PowerAffineMap:
-    match = _POWER_ELEMENT.match(text)
-    if not match:
-        raise ParseError(f"expected m*x^n, got {text.strip()!r}", 0)
-    multiplier = int(match.group(1)) if match.group(1) else 1
-    exponent = int(match.group(2)) if match.group(2) else 1
-    return PowerAffineMap(multiplier, exponent)
-
-
-def _parse_affine_element(text: str) -> AffineLatticeMap:
-    inside, offset = _strip_call(text, "aff")
-    pieces = _split_top_level(inside, ",", offset)
-    if len(pieces) != 2:
-        raise ParseError("aff takes a matrix and an offset vector", offset)
-    (matrix_text, matrix_offset), (vector_text, vector_offset) = pieces
-    row_pieces, _ = _parse_bracketed(matrix_text, matrix_offset)
-    matrix = []
-    for row_text, row_offset in row_pieces:
-        entries, _ = _parse_bracketed(row_text, row_offset)
-        matrix.append(tuple(_parse_int(e, eo) for e, eo in entries))
-    vector_pieces, _ = _parse_bracketed(vector_text, vector_offset)
-    vector = tuple(_parse_int(e, eo) for e, eo in vector_pieces)
-    return AffineLatticeMap(tuple(matrix), vector)
-
-
-_DYADIC_TOKEN = re.compile(r"([td])(?:\^(-?\d+))?$")
-_TOWER_TOKEN = re.compile(r"(F|P(\d+))(?:\^(-?\d+))?$")
-
-
-def _parse_dyadic_element(text: str) -> DyadicStepMap:
-    tokens = list(re.finditer(r"\S+", text))
-    if not tokens:
-        raise ParseError("expected t^m d^n", 0)
-    result = None
-    steps = DyadicSteps()
-    for token in tokens:
-        match = _DYADIC_TOKEN.fullmatch(token.group())
-        if not match:
-            raise ParseError(f"expected t^k or d^k, got {token.group()!r}", token.start())
-        exponent = int(match.group(2)) if match.group(2) is not None else 1
-        if exponent < 0:
-            raise DomainError(f"negative exponent {exponent} in {token.group()!r}")
-        part = DyadicStepMap(exponent, 0) if match.group(1) == "t" else DyadicStepMap(0, exponent)
-        result = part if result is None else steps.compose(result, part)
-    return result
-
-
-def _parse_tower_element(text: str) -> TowerMap:
-    tokens = list(re.finditer(r"\S+", text))
-    if not tokens:
-        raise ParseError("expected P<level>^k ... F^n", 0)
-    result = None
-    tower = Tower()
-    for token in tokens:
-        match = _TOWER_TOKEN.fullmatch(token.group())
-        if not match:
-            raise ParseError(f"expected F^n or P<level>^k, got {token.group()!r}", token.start())
-        exponent = int(match.group(3)) if match.group(3) is not None else 1
-        if exponent < 0:
-            raise DomainError(f"negative exponent {exponent} in {token.group()!r}")
-        if match.group(1) == "F":
-            part = TowerMap((), exponent)
-        else:
-            level = int(match.group(2))
-            if level < 1:
-                raise DomainError(f"squeeze level must be >= 1, got {level}")
-            part = TowerMap(((level, exponent),), 0)
-        result = part if result is None else tower.compose(result, part)
-    return result
-
-
 def parse_element(instance_name: str, text: str):
     """Parse one semigroup element in the instance's syntax."""
-    _check_instance(instance_name)
-    if instance_name == "power-affine":
-        return _parse_power_element(text)
-    if instance_name == "affine-lattice":
-        return _parse_affine_element(text)
-    if instance_name == "dyadic-steps":
-        return _parse_dyadic_element(text)
-    return _parse_tower_element(text)
+    return create_instance(instance_name).parse_element(text)
 
 
 def element_text(instance_name: str, element) -> str:
-    _check_instance(instance_name)
-    if instance_name == "power-affine":
-        return f"{element.multiplier}*x^{element.exponent}"
-    if instance_name == "affine-lattice":
-        rows = ",".join("[" + ",".join(str(e) for e in row) + "]" for row in element.matrix)
-        vector = ",".join(str(e) for e in element.offset)
-        return f"aff([{rows}],[{vector}])"
-    if instance_name == "dyadic-steps":
-        return f"t^{element.shift} d^{element.halvings}"
-    parts = [f"P{level}^{k}" for level, k in element.level_powers]
-    parts.append(f"F^{element.shift}")
-    return " ".join(parts)
+    return create_instance(instance_name).element_text(element)
 
-
-# ----------------------------------------------------------------------
-# points
-# ----------------------------------------------------------------------
 
 def parse_point(instance_name: str, text: str):
     """Parse one point of the instance's domain."""
-    _check_instance(instance_name)
-    if instance_name == "power-affine":
-        value = _parse_int(text, 0)
-        if value < 1:
-            raise DomainError(f"points are positive integers, got {value}")
-        return value
-    if instance_name == "affine-lattice":
-        entries, _ = _parse_bracketed(text, 0)
-        return tuple(_parse_int(e, eo) for e, eo in entries)
-    if instance_name == "dyadic-steps":
-        entries, _ = _parse_bracketed(text, 0)
-        return StepFunction(tuple(_parse_rational(e, eo) for e, eo in entries))
-    stripped = text.strip()
-    lead = len(text) - len(text.lstrip())
-    if not stripped.startswith("(") or not stripped.endswith(")"):
-        raise ParseError("expected a (level, payload) point", lead)
-    pieces = _split_top_level(stripped[1:-1], ",", lead + 1)
-    if len(pieces) != 2:
-        raise ParseError("expected exactly (level, payload)", lead)
-    level = _parse_int(*pieces[0])
-    payload = _parse_int(*pieces[1])
-    if level < 1:
-        raise DomainError(f"level must be >= 1, got {level}")
-    return TowerPoint(level, payload)
+    return create_instance(instance_name).parse_point(text)
 
 
 def point_text(instance_name: str, point) -> str:
-    _check_instance(instance_name)
-    if instance_name == "power-affine":
-        return str(point)
-    if instance_name == "affine-lattice":
-        return "[" + ",".join(str(c) for c in point) + "]"
-    if instance_name == "dyadic-steps":
-        return "[" + ",".join(str(c) for c in point.coefficients) + "]"
-    return f"({point.level}, {point.payload})"
+    return create_instance(instance_name).point_text(point)
 
 
-# ----------------------------------------------------------------------
-# pseudoquotients and fractions
-# ----------------------------------------------------------------------
+def _pair(text: str, head: str, separator: str, usage: str) -> list[tuple[str, int]]:
+    """Split ``head(a <separator> b)`` into its two pieces with their offsets."""
+    inside, offset = unwrap(text, 0, f"{head}(", ")", f"{head}(...)")
+    pieces = split_top_level(inside, separator, offset)
+    if len(pieces) != 2:
+        raise ParseError(f"{head} takes exactly '{usage}'", offset)
+    return pieces
+
 
 def parse_pq(instance_name: str, text: str) -> Pseudoquotient:
     """Parse ``pq(<point>; <element>)``."""
-    inside, offset = _strip_call(text, "pq")
-    pieces = _split_top_level(inside, ";", offset)
-    if len(pieces) != 2:
-        raise ParseError("pq takes exactly 'pq(<point>; <element>)'", offset)
-    point = parse_point(instance_name, pieces[0][0])
-    element = parse_element(instance_name, pieces[1][0])
-    return Pseudoquotient(point, element)
+    point, element = _pair(text, "pq", ";", "pq(<point>; <element>)")
+    instance = create_instance(instance_name)
+    return Pseudoquotient(instance.parse_point(*point), instance.parse_element(*element))
 
 
 def pq_text(instance_name: str, p: Pseudoquotient) -> str:
-    return (
-        f"pq({point_text(instance_name, p.numerator)}; "
-        f"{element_text(instance_name, p.denominator)})"
-    )
+    instance = create_instance(instance_name)
+    return f"pq({instance.point_text(p.numerator)}; {instance.element_text(p.denominator)})"
 
 
 def parse_frac(instance_name: str, text: str) -> GroupFraction:
     """Parse ``frac(<den element>, <num element>)``."""
-    inside, offset = _strip_call(text, "frac")
-    pieces = _split_top_level(inside, ",", offset)
-    if len(pieces) != 2:
-        raise ParseError("frac takes exactly 'frac(<element>, <element>)'", offset)
-    den = parse_element(instance_name, pieces[0][0])
-    num = parse_element(instance_name, pieces[1][0])
-    return GroupFraction(den, num)
+    den, num = _pair(text, "frac", ",", "frac(<element>, <element>)")
+    instance = create_instance(instance_name)
+    return GroupFraction(instance.parse_element(*den), instance.parse_element(*num))
 
 
 def frac_text(instance_name: str, frac: GroupFraction) -> str:
-    return (
-        f"frac({element_text(instance_name, frac.den)}, "
-        f"{element_text(instance_name, frac.num)})"
-    )
+    instance = create_instance(instance_name)
+    return f"frac({instance.element_text(frac.den)}, {instance.element_text(frac.num)})"
 
-
-# ----------------------------------------------------------------------
-# canonical values as JSON
-# ----------------------------------------------------------------------
 
 def canonical_json(instance_name: str, value) -> dict:
     """Render a canonical value; rationals become exact ``"p/q"`` strings."""
-    _check_instance(instance_name)
-    if instance_name == "power-affine":
-        assert isinstance(value, RootValue)
-        low = value.reduced()
-        return {
-            "radicand": str(value.radicand),
-            "index": value.index,
-            "reduced": {"radicand": str(low.radicand), "index": low.index},
-        }
-    if instance_name == "affine-lattice":
-        return {"vector": [str(c) for c in value]}
-    if instance_name == "dyadic-steps":
-        assert isinstance(value, DyadicStepValue)
-        return {"scale": value.scale, "start": value.start, "values": [str(v) for v in value.values]}
-    assert isinstance(value, TowerValue)
-    return {"level": value.level, "payload": str(value.payload)}
+    return create_instance(instance_name).canonical_json(value)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core import DomainError, Instance
+from ..core import DomainError, Instance, Preset
 from .affine_lattice import AffineLattice, AffineLatticeMap, adjugate, determinant
 from .dyadic_steps import DyadicStepMap, DyadicSteps, DyadicStepValue, StepFunction
 from .power_affine import PowerAffine, PowerAffineMap, RootValue
@@ -15,6 +15,7 @@ __all__ = [
     "DyadicSteps",
     "DyadicStepValue",
     "INSTANCE_NAMES",
+    "PRESETS",
     "PowerAffine",
     "PowerAffineMap",
     "RootValue",
@@ -30,17 +31,21 @@ __all__ = [
     "determinant",
 ]
 
-INSTANCE_NAMES = ("power-affine", "affine-lattice", "dyadic-steps", "tower")
+_REGISTRY: dict[str, type[Instance]] = {
+    cls.name: cls for cls in (PowerAffine, AffineLattice, DyadicSteps, Tower)
+}
+INSTANCE_NAMES = tuple(_REGISTRY)
+PRESETS: dict[str, Preset] = {
+    label: preset for cls in _REGISTRY.values() for label, preset in cls.presets().items()
+}
 
 
 def create_instance(name: str, *, dim: int = 1) -> Instance:
     """Instantiate a built-in action by its public name."""
-    if name == "power-affine":
-        return PowerAffine()
-    if name == "affine-lattice":
-        return AffineLattice(dim)
-    if name == "dyadic-steps":
-        return DyadicSteps()
-    if name == "tower":
-        return Tower()
-    raise DomainError(f"unknown instance {name!r}; choose one of {', '.join(INSTANCE_NAMES)}")
+    try:
+        cls = _REGISTRY[name]
+    except (KeyError, TypeError):
+        raise DomainError(
+            f"unknown instance {name!r}; choose one of {', '.join(INSTANCE_NAMES)}"
+        ) from None
+    return cls.create(dim)

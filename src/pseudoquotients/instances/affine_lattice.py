@@ -12,6 +12,9 @@ satisfy ``f' g == g' f``; writing them with integer adjugates rather than
 rational inverses makes every witness entry an integer by construction.
 Classes are identified with rational vectors: the class of ``(x, (M, b))``
 is the exact solution ``M^-1 (x - b)`` in ``Q^n``.
+
+Text syntax: an element ``aff([[2,0],[0,1]],[1,0])`` (matrix rows, then
+the offset vector), a point ``[5,0]``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import DomainError, Instance, OreWitness, Pseudoquotient, UsageError
+from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, UsageError
+from ..syntax import ParseError, parse_bracketed, parse_int, split_top_level, unwrap
 
 __all__ = ["AffineLattice", "AffineLatticeMap", "adjugate", "determinant"]
 
@@ -138,21 +142,25 @@ class AffineLattice(Instance):
     """The integer affine instance on ``Z^dim``."""
 
     name = "affine-lattice"
+    element_type = AffineLatticeMap
+    point_type = tuple
 
     def __init__(self, dim: int = 1):
         if dim < 1:
             raise DomainError("dimension must be >= 1")
         self.dim = dim
 
+    @classmethod
+    def create(cls, dim: int = 1) -> AffineLattice:
+        return cls(dim)
+
     def _check_element(self, f) -> AffineLatticeMap:
-        if not isinstance(f, AffineLatticeMap):
-            raise UsageError(f"expected an AffineLatticeMap, got {type(f).__name__}")
-        if f.dim != self.dim:
+        if super()._check_element(f).dim != self.dim:
             raise UsageError(f"map has dimension {f.dim}, instance has {self.dim}")
         return f
 
     def _check_point(self, x) -> Vector:
-        if not isinstance(x, tuple) or len(x) != self.dim or not all(isinstance(c, int) for c in x):
+        if len(super()._check_point(x)) != self.dim or not all(isinstance(c, int) for c in x):
             raise UsageError(f"expected an integer vector of length {self.dim}, got {x!r}")
         return x
 
@@ -201,3 +209,41 @@ class AffineLattice(Instance):
 
     def random_point(self, rng: random.Random) -> Vector:
         return tuple(rng.randint(-9, 9) for _ in range(self.dim))
+
+    def parse_element(self, text: str, offset: int = 0) -> AffineLatticeMap:
+        inside, start = unwrap(text, offset, "aff(", ")", "aff(...)")
+        pieces = split_top_level(inside, ",", start)
+        if len(pieces) != 2:
+            raise ParseError("aff takes a matrix and an offset vector", start)
+        (matrix_text, matrix_start), (vector_text, vector_start) = pieces
+        rows = parse_bracketed(matrix_text, matrix_start)
+        # matrix rows and the offset vector are written like points
+        matrix = tuple(self.parse_point(row, row_start) for row, row_start in rows)
+        return AffineLatticeMap(matrix, self.parse_point(vector_text, vector_start))
+
+    def element_text(self, f: AffineLatticeMap) -> str:
+        rows = ",".join(self.point_text(row) for row in f.matrix)
+        return f"aff([{rows}],{self.point_text(f.offset)})"
+
+    def parse_point(self, text: str, offset: int = 0) -> Vector:
+        return tuple(parse_int(e, e_start) for e, e_start in parse_bracketed(text, offset))
+
+    def point_text(self, x: Vector) -> str:
+        return "[" + ",".join(str(c) for c in x) + "]"
+
+    def canonical_json(self, value: tuple[Fraction, ...]) -> dict:
+        return {"vector": [str(c) for c in value]}
+
+    @classmethod
+    def presets(cls) -> dict[str, Preset]:
+        gens = (("a", AffineLatticeMap(((1,),), (1,))), ("b", AffineLatticeMap(((2,),), (0,))))
+        gens_2d = (
+            ("a", AffineLatticeMap(((1, 1), (0, 1)), (0, 0))),
+            ("b", AffineLatticeMap(((2, 0), (0, 1)), (1, 0))),
+        )
+        samples = ((-2,), (-1,), (0,), (1,), (3,))
+        samples_2d = ((0, 0), (1, 0), (0, 1), (2, -1), (-1, 3))
+        return {
+            "affine-lattice": Preset(cls(1), gens, samples=samples, depth=4),
+            "affine-lattice-2d": Preset(cls(2), gens_2d, samples=samples_2d, depth=4),
+        }

@@ -22,15 +22,22 @@ solution in a normalized form (trimmed, coarsest possible grid), which
 makes class equality a structural comparison.  Both generators preserve
 the integral and the L1 norm, so a class inherits both from any of its
 numerators.
+
+Text syntax: an element is a word such as ``t^2 d^1`` or ``d t``, its
+letters composed in written order (a bare letter has exponent 1); a
+point lists its coefficients, ``[3,1/2]``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import DomainError, Instance, OreWitness, Pseudoquotient, UsageError
+from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, UsageError
+from ..syntax import parse_bracketed, parse_rational, word_letters
 
 __all__ = ["DyadicStepMap", "DyadicSteps", "DyadicStepValue", "StepFunction"]
 
@@ -124,20 +131,15 @@ class DyadicStepValue:
         return sum((abs(v) for v in self.values), Fraction(0)) * cell
 
 
+_LETTER = re.compile(r"(?P<gen>[td])(?:\^(?P<exp>-?\d+))?")
+
+
 class DyadicSteps(Instance):
     """The shift/refine instance on rational step functions."""
 
     name = "dyadic-steps"
-
-    def _check_element(self, f) -> DyadicStepMap:
-        if not isinstance(f, DyadicStepMap):
-            raise UsageError(f"expected a DyadicStepMap, got {type(f).__name__}")
-        return f
-
-    def _check_point(self, x) -> StepFunction:
-        if not isinstance(x, StepFunction):
-            raise UsageError(f"expected a StepFunction, got {type(x).__name__}")
-        return x
+    element_type = DyadicStepMap
+    point_type = StepFunction
 
     def compose(self, f, g):
         self._check_element(f)
@@ -209,3 +211,30 @@ class DyadicSteps(Instance):
             Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
         )
         return StepFunction(tuple(rng.choice(pool) for _ in range(rng.randint(0, 3))))
+
+    def parse_element(self, text: str, offset: int = 0) -> DyadicStepMap:
+        letters = word_letters(text, offset, _LETTER, "t^m d^n", "t^k or d^k")
+        return functools.reduce(
+            self.compose,
+            (DyadicStepMap(k, 0) if m["gen"] == "t" else DyadicStepMap(0, k) for m, k in letters),
+        )
+
+    def element_text(self, f: DyadicStepMap) -> str:
+        return f"t^{f.shift} d^{f.halvings}"
+
+    def parse_point(self, text: str, offset: int = 0) -> StepFunction:
+        entries = parse_bracketed(text, offset)
+        return StepFunction(tuple(parse_rational(e, e_start) for e, e_start in entries))
+
+    def point_text(self, x: StepFunction) -> str:
+        return "[" + ",".join(str(c) for c in x.coefficients) + "]"
+
+    def canonical_json(self, value: DyadicStepValue) -> dict:
+        return {"scale": value.scale, "start": value.start, "values": [str(v) for v in value.values]}
+
+    @classmethod
+    def presets(cls) -> dict[str, Preset]:
+        gens = (("d", DyadicStepMap(0, 1)), ("t", DyadicStepMap(1, 0)))
+        half = Fraction(1, 2)
+        samples = tuple(map(StepFunction, [(half,), (), (-half, -2), (3 * half, -1, -1), (1,)]))
+        return {"dyadic-steps": Preset(cls(), gens, samples=samples, depth=4)}

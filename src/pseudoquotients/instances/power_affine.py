@@ -7,15 +7,21 @@ instance are identified by a :class:`RootValue` -- ``(x/m, n)`` read as
 the positive n-th root of ``x/m`` -- and two representatives are
 equivalent exactly when their root values agree under the cross-power
 rule ``q1**n2 == q2**n1``.
+
+Text syntax: an element ``m*x^n`` (``m*`` and ``^n`` default to 1, as in
+``x`` or ``5*x``), a point ``12``.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import DomainError, Instance, OreWitness, Pseudoquotient, UsageError
+from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, UsageError
+from ..syntax import ParseError, parse_int
 
 __all__ = ["PowerAffine", "PowerAffineMap", "RootValue"]
 
@@ -26,6 +32,8 @@ def _nth_root_exact(value: int, degree: int) -> int | None:
         return None
     if value in (0, 1) or degree == 1:
         return value
+    if value.bit_length() <= degree:
+        return None  # 2**degree > value already, so no integer >= 2 is its root
     lo, hi = 0, 1
     while hi**degree < value:
         hi *= 2
@@ -36,6 +44,12 @@ def _nth_root_exact(value: int, degree: int) -> int | None:
         else:
             hi = mid
     return lo if lo**degree == value else None
+
+
+def _divisors_descending(n: int) -> list[int]:
+    """All divisors of ``n >= 1``, largest first."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return [n // d for d in small] + [d for d in reversed(small) if d * d != n]
 
 
 @dataclass(frozen=True)
@@ -93,9 +107,7 @@ class RootValue:
         if self.index == 1:
             return self
         num, den = self.radicand.numerator, self.radicand.denominator
-        for d in range(self.index, 1, -1):
-            if self.index % d:
-                continue
+        for d in _divisors_descending(self.index)[:-1]:
             root_num = _nth_root_exact(num, d)
             root_den = _nth_root_exact(den, d)
             if root_num is not None and root_den is not None:
@@ -103,20 +115,18 @@ class RootValue:
         return self
 
 
+_ELEMENT = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x\s*(?:\^\s*(-?\d+))?\s*")
+
+
 class PowerAffine(Instance):
     """The monomial-map instance on the positive integers."""
 
     name = "power-affine"
-
-    def _check_element(self, f) -> PowerAffineMap:
-        if not isinstance(f, PowerAffineMap):
-            raise UsageError(f"expected a PowerAffineMap, got {type(f).__name__}")
-        return f
+    element_type = PowerAffineMap
+    point_type = int
 
     def _check_point(self, x) -> int:
-        if not isinstance(x, int):
-            raise UsageError(f"expected a positive integer point, got {type(x).__name__}")
-        if x < 1:
+        if super()._check_point(x) < 1:
             raise UsageError(f"point must be a positive integer, got {x}")
         return x
 
@@ -156,3 +166,35 @@ class PowerAffine(Instance):
 
     def random_point(self, rng: random.Random) -> int:
         return rng.randint(1, 30)
+
+    def parse_element(self, text: str, offset: int = 0) -> PowerAffineMap:
+        match = _ELEMENT.fullmatch(text)
+        if not match:
+            lead = offset + len(text) - len(text.lstrip())
+            raise ParseError(f"expected m*x^n, got {text.strip()!r}", lead)
+        multiplier = int(match.group(1)) if match.group(1) else 1
+        exponent = int(match.group(2)) if match.group(2) else 1
+        return PowerAffineMap(multiplier, exponent)
+
+    def element_text(self, f: PowerAffineMap) -> str:
+        return f"{f.multiplier}*x^{f.exponent}"
+
+    def parse_point(self, text: str, offset: int = 0) -> int:
+        value = parse_int(text, offset)
+        if value < 1:
+            raise DomainError(f"points are positive integers, got {value}")
+        return value
+
+    def point_text(self, x: int) -> str:
+        return str(x)
+
+    def canonical_json(self, value: RootValue) -> dict:
+        def root(v: RootValue) -> dict:
+            return {"radicand": str(v.radicand), "index": v.index}
+
+        return {**root(value), "reduced": root(value.reduced())}
+
+    @classmethod
+    def presets(cls) -> dict[str, Preset]:
+        gens = (("a", PowerAffineMap(2, 1)), ("b", PowerAffineMap(3, 2)))
+        return {"power-affine": Preset(cls(), gens, samples=(1, 2, 3, 4, 5), depth=4)}

@@ -38,16 +38,23 @@ for the default rules, but broken by degenerate choices such as a
 squeeze equal to the identity.  Class equivalence itself
 (``pq_equivalent``) is witness-based and stays correct for any valid
 configuration.
+
+Text syntax: an element is a word such as ``P1^1 P3^2 F^2`` or ``F P1``,
+its letters composed in written order (a bare letter has exponent 1); a
+point is ``(level, payload)``, as in ``(2, 5)``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from ..core import DomainError, Instance, OreWitness, Pseudoquotient, UsageError
+from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, UsageError
+from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
 
 __all__ = [
     "Tower",
@@ -174,34 +181,35 @@ class TowerConfig:
                     )
 
 
-_DEFAULT_CONFIG: TowerConfig | None = None
+_DEFAULT_CONFIG = TowerConfig(canonical_record=_default_record)
 
 
 def default_tower_config() -> TowerConfig:
     """The default rules, with closed-form canonical records."""
-    global _DEFAULT_CONFIG
-    if _DEFAULT_CONFIG is None:
-        _DEFAULT_CONFIG = TowerConfig(canonical_record=_default_record)
     return _DEFAULT_CONFIG
+
+
+_LETTER = re.compile(r"(?:F|P(?P<level>\d+))(?:\^(?P<exp>-?\d+))?")
+
+
+def _letter(match: re.Match, exponent: int) -> TowerMap:
+    if match["level"] is None:
+        return TowerMap((), exponent)
+    level = int(match["level"])
+    if level < 1:
+        raise DomainError(f"squeeze level must be >= 1, got {level}")
+    return TowerMap(((level, exponent),), 0)
 
 
 class Tower(Instance):
     """The tower instance for one configuration."""
 
     name = "tower"
+    element_type = TowerMap
+    point_type = TowerPoint
 
     def __init__(self, config: TowerConfig | None = None):
         self.config = config if config is not None else default_tower_config()
-
-    def _check_element(self, f) -> TowerMap:
-        if not isinstance(f, TowerMap):
-            raise UsageError(f"expected a TowerMap, got {type(f).__name__}")
-        return f
-
-    def _check_point(self, x) -> TowerPoint:
-        if not isinstance(x, TowerPoint):
-            raise UsageError(f"expected a TowerPoint, got {type(x).__name__}")
-        return x
 
     def compose(self, f, g):
         self._check_element(f)
@@ -254,3 +262,53 @@ class Tower(Instance):
         # levels reach past every squeeze level a few compositions can
         # produce, so sampled points can separate distinct composites
         return TowerPoint(rng.randint(1, 7), rng.randint(-8, 8))
+
+    def parse_element(self, text: str, offset: int = 0) -> TowerMap:
+        letters = word_letters(text, offset, _LETTER, "P<level>^k ... F^n", "F^n or P<level>^k")
+        return functools.reduce(self.compose, (_letter(m, k) for m, k in letters))
+
+    def element_text(self, f: TowerMap) -> str:
+        return " ".join([*(f"P{level}^{k}" for level, k in f.level_powers), f"F^{f.shift}"])
+
+    def parse_point(self, text: str, offset: int = 0) -> TowerPoint:
+        pieces = parse_bracketed(text, offset, "()", "a (level, payload) point")
+        if len(pieces) != 2:
+            lead = offset + len(text) - len(text.lstrip())
+            raise ParseError("expected exactly (level, payload)", lead)
+        level, payload = parse_int(*pieces[0]), parse_int(*pieces[1])
+        if level < 1:
+            raise DomainError(f"level must be >= 1, got {level}")
+        return TowerPoint(level, payload)
+
+    def point_text(self, x: TowerPoint) -> str:
+        return f"({x.level}, {x.payload})"
+
+    def canonical_json(self, value: TowerValue) -> dict:
+        return {"level": value.level, "payload": str(value.payload)}
+
+    @classmethod
+    def presets(cls) -> dict[str, Preset]:
+        gens = (
+            ("F", TowerMap((), 1)),
+            ("P1", TowerMap(((1, 1),), 0)),
+            ("P2", TowerMap(((2, 1),), 0)),
+        )
+        samples = tuple(
+            TowerPoint(level, payload) for level in (1, 2, 3) for payload in (-2, 0, 3)
+        )
+        return {"tower": Preset(cls(), gens, samples=samples, depth=3, from_rules=cls.from_rules)}
+
+    @classmethod
+    def from_rules(cls, rules: dict) -> Tower:
+        """The tower under a verifier config's affine rules (see ``presentation_from_config``)."""
+        if not isinstance(rules, dict):
+            raise DomainError("tower rules must be a JSON object")
+        s = int(rules.get("ascend_add", 1))
+        a = int(rules.get("squeeze_mul", 2))
+        c = int(rules.get("squeeze_level_coeff", s * (1 - a)))
+        e = int(rules.get("squeeze_const", 0))
+        config = TowerConfig(
+            ascend=lambda pt: TowerPoint(pt.level + 1, pt.payload + s),
+            squeeze=lambda pt: TowerPoint(pt.level, a * pt.payload + c * pt.level + e),
+        )
+        return cls(config)

@@ -23,23 +23,11 @@ one.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .core import DomainError, UsageError
-from .instances import (
-    AffineLattice,
-    AffineLatticeMap,
-    DyadicStepMap,
-    DyadicSteps,
-    PowerAffine,
-    PowerAffineMap,
-    Tower,
-    TowerConfig,
-    TowerMap,
-    TowerPoint,
-)
+from .instances import PRESETS
 
 __all__ = [
     "CancellationResult",
@@ -370,85 +358,34 @@ def verify(presentation: Presentation) -> VerifyReport:
 # presets and the JSON config schema
 # ----------------------------------------------------------------------
 
-PRESET_NAMES = (
-    "power-affine",
-    "affine-lattice",
-    "affine-lattice-2d",
-    "dyadic-steps",
-    "tower",
-)
-
-
-def _instance_generators(instance, named_elements):
-    return tuple(
-        (name, lambda p, inst=instance, el=element: inst.apply(el, p))
-        for name, element in named_elements
-    )
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str, max_depth: int | None = None) -> Presentation:
     """A ready-made presentation for one of the built-in instances."""
-    if name == "power-affine":
-        inst = PowerAffine()
-        gens = (("a", PowerAffineMap(2, 1)), ("b", PowerAffineMap(3, 2)))
-        samples = (1, 2, 3, 4, 5)
-        depth = 4
-    elif name == "affine-lattice":
-        inst = AffineLattice(1)
-        gens = (("a", AffineLatticeMap(((1,),), (1,))), ("b", AffineLatticeMap(((2,),), (0,))))
-        samples = ((-2,), (-1,), (0,), (1,), (3,))
-        depth = 4
-    elif name == "affine-lattice-2d":
-        inst = AffineLattice(2)
-        gens = (
-            ("a", AffineLatticeMap(((1, 1), (0, 1)), (0, 0))),
-            ("b", AffineLatticeMap(((2, 0), (0, 1)), (1, 0))),
-        )
-        samples = ((0, 0), (1, 0), (0, 1), (2, -1), (-1, 3))
-        depth = 4
-    elif name == "dyadic-steps":
-        inst = DyadicSteps()
-        gens = (("d", DyadicStepMap(0, 1)), ("t", DyadicStepMap(1, 0)))
-        rng = random.Random(20)
-        samples = tuple(_distinct(inst.random_point, rng, 5))
-        depth = 4
-    elif name == "tower":
-        inst = Tower()
-        gens = (
-            ("F", TowerMap((), 1)),
-            ("P1", TowerMap(((1, 1),), 0)),
-            ("P2", TowerMap(((2, 1),), 0)),
-        )
-        samples = tuple(
-            TowerPoint(level, payload) for level in (1, 2, 3) for payload in (-2, 0, 3)
-        )
-        depth = 3
-    else:
-        raise DomainError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
-    if max_depth is not None:
-        depth = max_depth
+    return _preset(name, max_depth, {})
+
+
+def _preset(name: str, max_depth: int | None, config: dict) -> Presentation:
+    """The preset ``name``; custom rules under ``config[name]`` rebuild its instance."""
+    try:
+        spec = PRESETS[name]
+    except (KeyError, TypeError):
+        raise DomainError(
+            f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
+        ) from None
+    instance, label = spec.instance, name
+    if spec.from_rules is not None and config.get(name) is not None:
+        instance, label = spec.from_rules(config[name]), f"{name} (custom rules)"
     return Presentation(
-        generators=_instance_generators(inst, gens),
-        sample_points=samples,
-        max_depth=depth,
-        label=name,
-        point_text=_point_printer(inst.name),
+        generators=tuple(
+            (gen, lambda p, el=element: instance.apply(el, p)) for gen, element in spec.generators
+        ),
+        sample_points=spec.samples,
+        max_depth=spec.depth if max_depth is None else max_depth,
+        label=label,
+        point_text=instance.point_text,
     )
-
-
-def _point_printer(instance_name: str):
-    from .grammar import point_text
-
-    return lambda p: point_text(instance_name, p)
-
-
-def _distinct(draw, rng, count):
-    seen = []
-    while len(seen) < count:
-        value = draw(rng)
-        if value not in seen:
-            seen.append(value)
-    return seen
 
 
 def _int_affine(entry: dict) -> Callable[[int], int]:
@@ -489,34 +426,7 @@ def presentation_from_config(config: dict) -> Presentation:
         raise DomainError("config must be a JSON object")
     depth = config.get("max_depth")
     if "preset" in config:
-        name = config["preset"]
-        if name == "tower" and "tower" in config:
-            rules = config["tower"]
-            s = int(rules.get("ascend_add", 1))
-            a = int(rules.get("squeeze_mul", 2))
-            c = int(rules.get("squeeze_level_coeff", s * (1 - a)))
-            e = int(rules.get("squeeze_const", 0))
-            tower_config = TowerConfig(
-                ascend=lambda pt: TowerPoint(pt.level + 1, pt.payload + s),
-                squeeze=lambda pt: TowerPoint(pt.level, a * pt.payload + c * pt.level + e),
-            )
-            inst = Tower(tower_config)
-            gens = (
-                ("F", TowerMap((), 1)),
-                ("P1", TowerMap(((1, 1),), 0)),
-                ("P2", TowerMap(((2, 1),), 0)),
-            )
-            samples = tuple(
-                TowerPoint(level, payload) for level in (1, 2, 3) for payload in (-2, 0, 3)
-            )
-            return Presentation(
-                generators=_instance_generators(inst, gens),
-                sample_points=samples,
-                max_depth=int(depth) if depth is not None else 3,
-                label="tower (custom rules)",
-                point_text=_point_printer("tower"),
-            )
-        return preset(name, int(depth) if depth is not None else None)
+        return _preset(config["preset"], int(depth) if depth is not None else None, config)
     if config.get("domain") != "int":
         raise DomainError("config needs either a 'preset' or '\"domain\": \"int\"'")
     raw_gens = config.get("generators")

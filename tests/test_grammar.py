@@ -105,6 +105,28 @@ def test_syntax_errors_carry_positions():
         parse_point("affine-lattice", "[1,[2]")
 
 
+@pytest.mark.parametrize(
+    "name, text, position",
+    [
+        ("dyadic-steps", "pq([1,2]; t^2 q^1)", 14),
+        ("tower", "pq((1,2); F^1 Q^1)", 14),
+        ("affine-lattice", "pq([1]; aff([[x]],[0]))", 14),
+        ("power-affine", "pq(3; 3*y^2)", 6),
+        ("tower", "pq((1,2,3); F^1)", 3),
+        ("dyadic-steps", "pq([1,x]; t)", 6),
+        ("power-affine", "frac(2*x^1, 3*y^2)", 12),
+        ("affine-lattice", "frac(aff([[1]],[0]), aff([[1]],[z]))", 32),
+        ("dyadic-steps", "frac(t^1, t^1 q)", 14),
+        ("tower", "frac(F^1 Q, F)", 9),
+    ],
+)
+def test_nested_syntax_errors_report_offsets_in_the_whole_text(name, text, position):
+    parse = parse_pq if text.startswith("pq(") else parse_frac
+    with pytest.raises(ParseError) as excinfo:
+        parse(name, text)
+    assert excinfo.value.position == position
+
+
 def test_round_trips(rng):
     for name in ("power-affine", "affine-lattice", "dyadic-steps", "tower"):
         instance = create_instance(name, dim=2)

@@ -1,5 +1,7 @@
 """Monomial-map instance: frozen examples plus pointwise-evaluation oracles."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,62 @@ def test_root_value_reduced_is_minimal():
     assert RootValue(Fraction(4, 9), 6).reduced() == RootValue(Fraction(2, 3), 3)
     assert RootValue(Fraction(12), 2).reduced().index == 2  # sqrt(12) is irrational
     assert RootValue(Fraction(1), 5).reduced() == RootValue(Fraction(1), 1)
+
+
+def exact_root_by_bisection(value: int, degree: int):
+    """Reference integer root: bisection with no shortcut, or None."""
+    if value in (0, 1) or degree == 1:
+        return value
+    lo, hi = 0, 1
+    while hi**degree < value:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**degree < value:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**degree == value else None
+
+
+def reduced_by_full_scan(value: RootValue) -> RootValue:
+    """Reference reduction: try every degree d <= index that divides it, largest first."""
+    if value.index == 1:
+        return value
+    num, den = value.radicand.numerator, value.radicand.denominator
+    for d in range(value.index, 1, -1):
+        if value.index % d:
+            continue
+        root_num = exact_root_by_bisection(num, d)
+        root_den = exact_root_by_bisection(den, d)
+        if root_num is not None and root_den is not None:
+            return RootValue(Fraction(root_num, root_den), value.index // d)
+    return value
+
+
+def test_reduced_matches_the_full_scan():
+    rng = random.Random(20260)
+    for _ in range(3000):
+        k = rng.randint(1, 12)
+        radicand = Fraction(rng.randint(0, 40) ** k, rng.randint(1, 40) ** rng.choice((k, 1)))
+        value = RootValue(radicand, k * rng.randint(1, 12))
+        fast, reference = value.reduced(), reduced_by_full_scan(value)
+        assert (fast.radicand, fast.index) == (reference.radicand, reference.index)
+
+
+def test_reduced_is_fast_for_a_huge_index():
+    # the full scan tried all 10^8 candidate degrees (seconds); the divisors
+    # of 10^8 number 81, and each fails fast once 2**d exceeds the radicand
+    value = pa.canonical_value(Pseudoquotient(12, PowerAffineMap(3, 10**8)))
+    start = time.perf_counter()
+    low = value.reduced()
+    assert time.perf_counter() - start < 1.0
+    assert (low.radicand, low.index) == (Fraction(2), 5 * 10**7)
+    assert pa.canonical_json(value) == {
+        "radicand": "4",
+        "index": 10**8,
+        "reduced": {"radicand": "2", "index": 5 * 10**7},
+    }
 
 
 def test_extend_apply_frozen_example():
