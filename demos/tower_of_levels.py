@@ -3,13 +3,15 @@
 Integer payloads live on levels 1, 2, 3, ...  The ascent F moves a
 point up one level (payload + 1); the squeeze P_j acts only on level j
 (payload -> 2*payload - j).  Ascending commutes with squeezing one
-floor up: F o P_j == P_{j+1} o F, validated on a grid when the
-configuration is built.  Words therefore normalize to "squeezes, then
-ascents", and the completion adds floors below level 1 with rational
-payloads.
+floor up: F o P_j == P_{j+1} o F.  The rules are three integers -- the
+ascent's step s, the squeeze's factor a and constant e -- and the
+squeeze's level coefficient c = s*(1 - a) is derived, since the square
+commutes exactly for that value.  Words therefore normalize to
+"squeezes, then ascents", and the completion adds floors below level 1
+with rational payloads.
 """
 
-from pseudoquotients import Tower, TowerMap, TowerPoint, default_tower_config
+from pseudoquotients import Tower, TowerConfig, TowerMap, TowerPoint
 
 inst = Tower()
 F = TowerMap((), 1)
@@ -22,9 +24,15 @@ print("squeeze level 2     ->", inst.apply(P2, pt))
 print("F o P2 == P3 o F    ->",
       inst.compose(F, P2) == inst.compose(TowerMap(((3, 1),), 0), F))
 
-# The commuting squares hold exactly wherever we care to look.
-default_tower_config().validate(levels=range(1, 9), payloads=range(-20, 21))
-print("squares validated on levels 1..8")
+# Other rules: ascent x -> x + 2 and squeeze x -> 3x + c*j, where the
+# derived c = 2*(1 - 3) = -4 makes the square commute at every point.
+custom = TowerConfig(ascend_add=2, squeeze_mul=3)
+up_then_in = custom.squeeze(custom.ascend(pt))
+print("c for s=2, a=3      ->", custom.squeeze_level_coeff)
+print("P3 F == F P2 there  ->", up_then_in == custom.ascend(custom.squeeze(pt)), up_then_in)
+
+# Powers are closed forms, so a ten-million-floor ascent costs one step.
+print("F^10000000 (2,5)    ->", inst.apply(TowerMap((), 10_000_000), pt))
 
 # Solving F(xi) = (2,5) descends a floor; solving P1(xi) = (1,3)
 # inverts the squeeze; mixing them can leave the integer tower

@@ -162,7 +162,7 @@ def _cmd_verify(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-        if args.depth is not None:
+        if args.depth is not None and isinstance(config, dict):
             config = {**config, "max_depth": args.depth}
         presentation = presentation_from_config(config)
     else:
@@ -188,6 +188,12 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, UsageError, OSError, json.JSONDecodeError) as error:
         print(f"domain error: {error}", file=sys.stderr)
+        return 1
+    except ValueError as error:
+        if "integer string conversion" not in str(error):  # CPython's int <-> str digit limit
+            raise
+        digits = sys.get_int_max_str_digits()
+        print(f"domain error: a number has over {digits} digits", file=sys.stderr)
         return 1
 
 

@@ -57,6 +57,13 @@ class DomainError(ValueError):
     """A value lies outside an instance's domain (zero exponent, singular matrix, ...)."""
 
 
+def require_int(value: Any, what: str) -> int:
+    """``value`` itself if it is an integer (a bool is not), else a :class:`DomainError`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Pseudoquotient:
     """A representative pair ``numerator / denominator``.

@@ -14,7 +14,6 @@ Text syntax: an element ``m*x^n`` (``m*`` and ``^n`` default to 1, as in
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -44,12 +43,6 @@ def _nth_root_exact(value: int, degree: int) -> int | None:
         else:
             hi = mid
     return lo if lo**degree == value else None
-
-
-def _divisors_descending(n: int) -> list[int]:
-    """All divisors of ``n >= 1``, largest first."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return [n // d for d in small] + [d for d in reversed(small) if d * d != n]
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,12 @@ class RootValue:
         if self.index == 1:
             return self
         num, den = self.radicand.numerator, self.radicand.denominator
-        for d in _divisors_descending(self.index)[:-1]:
+        # an integer >= 2 has a d-th root only for d < its bit length, so
+        # only the divisors of the index below that bound are candidates
+        bound = min((v.bit_length() - 1 for v in (num, den) if v > 1), default=self.index)
+        for d in range(min(bound, self.index), 1, -1):
+            if self.index % d:
+                continue
             root_num = _nth_root_exact(num, d)
             root_den = _nth_root_exact(den, d)
             if root_num is not None and root_den is not None:

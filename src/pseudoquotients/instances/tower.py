@@ -3,18 +3,17 @@
 Points live on levels ``1, 2, 3, ...``; each level holds integer
 payloads.  The acting semigroup is generated by
 
-* ``F`` -- the ascent: apply the configured level-raising rule (default
-  ``(payload, level) -> (payload + 1, level + 1)``);
-* ``P_j`` -- the level-``j`` squeeze: apply the configured in-level
-  injection to points on level ``j`` (default ``payload -> 2*payload - j``)
-  and leave every other level alone.
+* ``F`` -- the ascent ``(level, x) -> (level + 1, x + s)``;
+* ``P_j`` -- the level-``j`` squeeze ``x -> a*x + c*j + e`` on points of
+  level ``j``, leaving every other level alone.
 
-The configured rules must make the square ``F o P_j == P_{j+1} o F``
-commute, which is validated when a :class:`TowerConfig` is constructed.
-Together with the squeezes commuting among themselves, every word has the
-normal form "squeeze powers per level, then an ascent power", stored in
-:class:`TowerMap` and multiplied by shifting the right factor's levels:
-``(P1, n1) o (P2, n2) = (P1 * shift(P2, n1), n1 + n2)``.
+A :class:`TowerConfig` holds the integers ``s``, ``a`` (nonzero, for
+injectivity) and ``e``, by default ``1, 2, 0``; ``c = s*(1 - a)`` is
+derived, because the square ``F o P_j == P_{j+1} o F`` commutes exactly
+for that value.  With the squeezes commuting among themselves, every
+word has the normal form "squeeze powers per level, then an ascent
+power", stored in :class:`TowerMap` and multiplied by shifting the right
+factor's levels: ``(P1, n1) o (P2, n2) = (P1 * shift(P2, n1), n1 + n2)``.
 
 Element equality is equality of these normal forms.  Note that the
 normal form is finer than the action on points: a squeeze at a level the
@@ -27,17 +26,18 @@ right cancellative and the fraction group faithful.  The bounded verifier
 checks the *point* action and will truthfully report that it does not
 separate such elements.
 
-Canonical class values exist in closed form for the default rules: the
-solution of ``(P, n)(xi) = x`` sits at level ``x.level - n`` with a
-rational payload, recorded as a :class:`TowerValue`.  Custom configs get
-the full calculus except canonical values, unless they supply their own
-``canonical_record`` rule.  One obligation falls on custom rules:
-fraction equality compares normal forms, which is complete only when
-distinct normal forms act differently on the completed space -- true
-for the default rules, but broken by degenerate choices such as a
-squeeze equal to the identity.  Class equivalence itself
-(``pq_equivalent``) is witness-based and stays correct for any valid
-configuration.
+Powers are closed forms -- ``F^n`` adds ``n*s``, and ``P_j^k`` is
+``x -> a^k*x + b*(a^k - 1)/(a - 1)`` with ``b = c*j + e`` -- so
+:meth:`Tower.apply` costs the same for every exponent, and the canonical
+value of ``x / (P, n)`` inverts them over Q: a :class:`TowerValue` at
+level ``x.level - n`` with a rational payload.  A factor ``a^k`` of more
+than ``MAX_POWER_BITS`` bits is a domain error.
+
+Fraction equality compares normal forms, which is complete only when
+distinct normal forms act differently on the completed space; squeezes
+of finite order (``a = -1``, or ``a = 1`` with ``e = 0``) break that.
+Class equivalence and canonical values follow the action and hold for
+every configuration.
 
 Text syntax: an element is a word such as ``P1^1 P3^2 F^2`` or ``F P1``,
 its letters composed in written order (a bare letter has exponent 1); a
@@ -49,11 +49,11 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
-from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, UsageError
+from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, require_int
 from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
 
 __all__ = [
@@ -123,69 +123,53 @@ class TowerMap:
         return dict(self.level_powers).get(level, 0)
 
 
-def _default_ascend(pt: TowerPoint) -> TowerPoint:
-    return TowerPoint(pt.level + 1, pt.payload + 1)
-
-
-def _default_squeeze(pt: TowerPoint) -> TowerPoint:
-    return TowerPoint(pt.level, 2 * pt.payload - pt.level)
-
-
-def _default_record(pt: TowerPoint, squeezes: int, shift: int) -> TowerValue:
-    # invert the level-l squeeze power, then the ascent power, over Q
-    level = pt.level - shift
-    return TowerValue(level, Fraction(pt.payload - pt.level, 2**squeezes) + level)
+MAX_POWER_BITS = 1 << 20  # the largest squeeze factor a^k computed, see the module docs
 
 
 @dataclass(frozen=True)
 class TowerConfig:
-    """The concrete rules of one tower, validated at construction.
+    """Ascent ``x -> x + s``, level-``j`` squeeze ``x -> a*x + c*j + e``, ``c = s*(1 - a)``."""
 
-    ``ascend`` must raise the level by exactly one; ``squeeze`` must
-    preserve it; both must be injective; and the square
-    ``ascend o squeeze == squeeze o ascend`` (squeeze taken at the
-    respective level) must commute.  All of this is checked exactly on
-    ``check_levels x check_payloads``.
-    """
-
-    ascend: Callable[[TowerPoint], TowerPoint] = _default_ascend
-    squeeze: Callable[[TowerPoint], TowerPoint] = _default_squeeze
-    canonical_record: Callable[[TowerPoint, int, int], TowerValue] | None = None
-    check_levels: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    check_payloads: tuple[int, ...] = (-3, -2, -1, 0, 1, 2, 3, 5, 8)
+    ascend_add: int = 1
+    squeeze_mul: int = 2
+    squeeze_const: int = 0
 
     def __post_init__(self):
-        self.validate(self.check_levels, self.check_payloads)
+        for field in fields(self):
+            require_int(getattr(self, field.name), field.name)
+        if self.squeeze_mul == 0:
+            raise DomainError("squeeze_mul must be nonzero, or the squeeze is not injective")
 
-    def validate(self, levels, payloads) -> None:
-        """Exactly re-check level discipline, injectivity, and the commuting squares."""
-        for level in levels:
-            seen_up: dict[TowerPoint, int] = {}
-            seen_in: dict[TowerPoint, int] = {}
-            for payload in payloads:
-                pt = TowerPoint(level, payload)
-                up = self.ascend(pt)
-                if up.level != level + 1:
-                    raise DomainError(f"ascend must raise level {level} to {level + 1}, got {up.level}")
-                inner = self.squeeze(pt)
-                if inner.level != level:
-                    raise DomainError(f"squeeze must preserve level {level}, got {inner.level}")
-                if up in seen_up or inner in seen_in:
-                    raise DomainError(f"rules are not injective on level {level}")
-                seen_up[up] = payload
-                seen_in[inner] = payload
-                if self.ascend(inner) != self.squeeze(up):
-                    raise DomainError(
-                        f"square does not commute at {pt}: "
-                        f"{self.ascend(inner)} != {self.squeeze(up)}"
-                    )
+    @property
+    def squeeze_level_coeff(self) -> int:
+        return self.ascend_add * (1 - self.squeeze_mul)
+
+    def ascend(self, pt: TowerPoint) -> TowerPoint:
+        """One ascent step."""
+        return TowerPoint(pt.level + 1, pt.payload + self.ascend_add)
+
+    def squeeze(self, pt: TowerPoint) -> TowerPoint:
+        """One squeeze step at the point's own level."""
+        offset = self.squeeze_level_coeff * pt.level + self.squeeze_const
+        return TowerPoint(pt.level, self.squeeze_mul * pt.payload + offset)
+
+    def squeeze_power(self, level: int, k: int) -> tuple[int, int]:
+        """``(m, t)`` such that ``k`` squeezes at ``level`` map ``x`` to ``m*x + t``."""
+        a = self.squeeze_mul
+        b = self.squeeze_level_coeff * level + self.squeeze_const
+        if a == 1:
+            return 1, k * b
+        if k * (abs(a).bit_length() - 1) > MAX_POWER_BITS:
+            raise DomainError(f"squeeze factor {a}^{k} has over {MAX_POWER_BITS} bits")
+        m = a**k
+        return m, b * (m - 1) // (a - 1)  # a - 1 divides a^k - 1 exactly
 
 
-_DEFAULT_CONFIG = TowerConfig(canonical_record=_default_record)
+_DEFAULT_CONFIG = TowerConfig()
 
 
 def default_tower_config() -> TowerConfig:
-    """The default rules, with closed-form canonical records."""
+    """The default rules: ascent ``x -> x + 1``, squeeze ``x -> 2*x - level``."""
     return _DEFAULT_CONFIG
 
 
@@ -208,8 +192,8 @@ class Tower(Instance):
     element_type = TowerMap
     point_type = TowerPoint
 
-    def __init__(self, config: TowerConfig | None = None):
-        self.config = config if config is not None else default_tower_config()
+    def __init__(self, config: TowerConfig = _DEFAULT_CONFIG):
+        self.config = config
 
     def compose(self, f, g):
         self._check_element(f)
@@ -224,11 +208,12 @@ class Tower(Instance):
     def apply(self, f, x):
         self._check_element(f)
         pt = self._check_point(x)
-        for _ in range(f.shift):
-            pt = self.config.ascend(pt)
-        for _ in range(f.power_at(pt.level)):
-            pt = self.config.squeeze(pt)
-        return pt
+        level = pt.level + f.shift
+        k = f.power_at(level)
+        if not (k or f.shift):
+            return pt  # the same object, so the verifier's memo finds it by identity
+        m, t = self.config.squeeze_power(level, k)
+        return TowerPoint(level, m * (pt.payload + f.shift * self.config.ascend_add) + t)
 
     def ore_complete(self, f, g):
         self._check_element(f)
@@ -244,11 +229,11 @@ class Tower(Instance):
     def canonical_value(self, p: Pseudoquotient) -> TowerValue:
         f = self._check_element(p.denominator)
         pt = self._check_point(p.numerator)
-        record = self.config.canonical_record
-        if record is None:
-            raise UsageError("this tower configuration defines no canonical record")
-        # only the squeeze power at the numerator's own level reaches the class
-        return record(pt, f.power_at(pt.level), f.shift)
+        # only the squeeze power at the numerator's own level reaches the class;
+        # invert it, then the ascent power, over Q
+        m, t = self.config.squeeze_power(pt.level, f.power_at(pt.level))
+        payload = Fraction(pt.payload - t, m) - f.shift * self.config.ascend_add
+        return TowerValue(pt.level - f.shift, payload)
 
     @property
     def designated_element(self) -> TowerMap:
@@ -303,12 +288,10 @@ class Tower(Instance):
         """The tower under a verifier config's affine rules (see ``presentation_from_config``)."""
         if not isinstance(rules, dict):
             raise DomainError("tower rules must be a JSON object")
-        s = int(rules.get("ascend_add", 1))
-        a = int(rules.get("squeeze_mul", 2))
-        c = int(rules.get("squeeze_level_coeff", s * (1 - a)))
-        e = int(rules.get("squeeze_const", 0))
-        config = TowerConfig(
-            ascend=lambda pt: TowerPoint(pt.level + 1, pt.payload + s),
-            squeeze=lambda pt: TowerPoint(pt.level, a * pt.payload + c * pt.level + e),
-        )
+        given = {key.name: rules[key.name] for key in fields(TowerConfig) if key.name in rules}
+        config = TowerConfig(**given)
+        c = config.squeeze_level_coeff
+        coeff = rules.get("squeeze_level_coeff", c)
+        if require_int(coeff, "squeeze_level_coeff") != c:
+            raise DomainError(f"squeeze_level_coeff must equal s*(1 - a) = {c}")
         return cls(config)

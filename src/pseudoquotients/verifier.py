@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .core import DomainError, UsageError
+from .core import DomainError, UsageError, require_int
 from .instances import PRESETS
 
 __all__ = [
@@ -72,7 +72,7 @@ class Presentation:
             raise DomainError("generator names must be distinct")
         if not self.sample_points:
             raise DomainError("a presentation needs at least one sample point")
-        if self.max_depth < 1:
+        if require_int(self.max_depth, "max_depth") < 1:
             raise DomainError("max_depth must be >= 1")
 
     @property
@@ -389,8 +389,10 @@ def _preset(name: str, max_depth: int | None, config: dict) -> Presentation:
 
 
 def _int_affine(entry: dict) -> Callable[[int], int]:
-    mul = int(entry.get("mul", 1))
-    add = int(entry.get("add", 0))
+    if not isinstance(entry, dict):
+        raise DomainError("each affine rule must be a JSON object")
+    mul = require_int(entry.get("mul", 1), "mul")
+    add = require_int(entry.get("add", 0), "add")
     return lambda x: mul * x + add
 
 
@@ -417,16 +419,17 @@ def presentation_from_config(config: dict) -> Presentation:
          "max_depth": 3}
 
     Tower presets accept custom affine rules
-    ``{"ascend_add": s, "squeeze_mul": a, "squeeze_level_coeff": c,
-    "squeeze_const": e}`` for ascent ``x -> x + s`` and level-``n``
-    squeeze ``x -> a*x + c*n + e``; the commuting squares are validated
-    when the configuration is built.
+    ``{"ascend_add": s, "squeeze_mul": a, "squeeze_const": e}`` for ascent
+    ``x -> x + s`` and level-``n`` squeeze ``x -> a*x + c*n + e``, where
+    ``c = s*(1 - a)`` is derived because the squares commute exactly for
+    that value; a given ``"squeeze_level_coeff"`` must equal it, and
+    ``a = 0`` is rejected.  Every number in a config must be a JSON integer.
     """
     if not isinstance(config, dict):
         raise DomainError("config must be a JSON object")
     depth = config.get("max_depth")
     if "preset" in config:
-        return _preset(config["preset"], int(depth) if depth is not None else None, config)
+        return _preset(config["preset"], depth, config)
     if config.get("domain") != "int":
         raise DomainError("config needs either a 'preset' or '\"domain\": \"int\"'")
     raw_gens = config.get("generators")
@@ -442,7 +445,7 @@ def presentation_from_config(config: dict) -> Presentation:
         raise DomainError("config needs a nonempty 'samples' list of integers")
     return Presentation(
         generators=tuple(generators),
-        sample_points=tuple(int(s) for s in samples),
-        max_depth=int(depth) if depth is not None else 5,
+        sample_points=tuple(require_int(s, "each sample") for s in samples),
+        max_depth=depth if depth is not None else 5,
         label=str(config.get("label", "custom")),
     )

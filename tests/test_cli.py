@@ -3,6 +3,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from pseudoquotients import cli
 from pseudoquotients.cli import main
 from pseudoquotients.grammar import parse_element, parse_pq
 
@@ -150,14 +153,19 @@ def test_text_output(capsys):
 
 
 def test_console_entry_subprocess():
+    import os
     import subprocess
     import sys
 
+    # the child finds the package in this checkout, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-m", "pseudoquotients", "normalize", "--instance",
          "dyadic-steps", "pq([3]; t^0 d^1)"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["canonical"] == {"scale": 1, "start": 0, "values": ["6"]}
@@ -165,6 +173,7 @@ def test_console_entry_subprocess():
         [sys.executable, "-m", "pseudoquotients", "verify", "--config", FIXTURE],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert failing.returncode == 3
 
@@ -179,3 +188,50 @@ def test_mixed_dimensions_exit_1(capsys):
         "pq([1,2]; aff([[1,0],[0,1]],[0,0]))",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "config, extra",
+    [
+        ({"domain": "int", "generators": [{"name": "g", "mul": "x"}], "samples": [1, 2]}, ()),
+        ({"domain": "int", "generators": [{"name": "g", "add": "one"}], "samples": [1, 2]}, ()),
+        ({"domain": "int", "generators": [{"name": "g", "mul": 2}], "samples": [1, "a"]}, ()),
+        ({"domain": "int", "generators": [{"name": "g"}], "samples": [1, 2], "max_depth": "deep"}, ()),
+        ({"preset": "tower", "tower": {"ascend_add": "x"}}, ()),
+        ({"domain": "int", "generators": [{"name": "g", "even": 5, "odd": {}}], "samples": [1]}, ()),
+        ([1, 2], ("--depth", "2")),
+    ],
+    ids=["mul", "add", "sample", "max_depth", "tower-rule", "parity-rule", "list-with-depth"],
+)
+def test_non_integer_config_values_exit_1(capsys, tmp_path, config, extra):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--config", str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith("domain error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "--instance", "tower", "pq((1,2); P1^20000)"),
+        ("equiv", "--instance", "power-affine", "pq(12; 3*x^100000)", "pq(7; 2*x^3)"),
+        ("normalize", "--instance", "tower", "pq((1,2); P1^1000000000000)"),
+        ("normalize", "--instance", "power-affine", f"pq({'7' * 5000}; x)"),
+    ],
+    ids=["tower-payload", "power-affine-witness", "tower-squeeze-limit", "5000-digit-point"],
+)
+def test_numbers_too_large_to_print_or_parse_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("domain error:")
+    assert "Traceback" not in err
+
+
+def test_other_value_errors_are_not_masked(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(cli, "_cmd_normalize", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["normalize", "--instance", "tower", "pq((1,2); F)"])

@@ -158,8 +158,8 @@ def test_reduced_matches_the_full_scan():
 
 
 def test_reduced_is_fast_for_a_huge_index():
-    # the full scan tried all 10^8 candidate degrees (seconds); the divisors
-    # of 10^8 number 81, and each fails fast once 2**d exceeds the radicand
+    # the full scan tried all 10^8 candidate degrees (seconds); only degrees
+    # below the radicand's bit length can have a root
     value = pa.canonical_value(Pseudoquotient(12, PowerAffineMap(3, 10**8)))
     start = time.perf_counter()
     low = value.reduced()
@@ -170,6 +170,15 @@ def test_reduced_is_fast_for_a_huge_index():
         "index": 10**8,
         "reduced": {"radicand": "2", "index": 5 * 10**7},
     }
+
+
+def test_reduced_is_fast_for_an_index_of_twenty_one_digits():
+    # trial division up to isqrt(10^20) did not finish within 10 s
+    value = pa.canonical_value(Pseudoquotient(12, PowerAffineMap(3, 10**20)))
+    start = time.perf_counter()
+    low = value.reduced()
+    assert time.perf_counter() - start < 1.0
+    assert (low.radicand, low.index) == (Fraction(2), 5 * 10**19)
 
 
 def test_extend_apply_frozen_example():

@@ -1,5 +1,6 @@
 """Tower instance: commuting squares, normal forms versus pointwise action."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,21 +18,106 @@ from pseudoquotients import (
 
 tw = Tower()
 
+CONFIGS = [
+    TowerConfig(s, a, e) for s in (-2, -1, 0, 1, 3) for a in (-3, -1, 1, 2, 5) for e in (-4, 0, 7)
+]
 
-def test_default_config_squares_commute():
-    config = default_tower_config()
-    config.validate(range(1, 7), range(-10, 11))  # exact re-check on a grid
+
+def test_squares_commute_for_every_config():
+    # the derived level coefficient c = s*(1 - a) is what makes F o P_j == P_{j+1} o F
+    assert default_tower_config() == TowerConfig(1, 2, 0)
+    assert default_tower_config().squeeze_level_coeff == -1
+    for config in CONFIGS:
+        for level in range(1, 7):
+            for payload in range(-10, 11):
+                pt = TowerPoint(level, payload)
+                up, inner = config.ascend(pt), config.squeeze(pt)
+                assert (up.level, inner.level) == (level + 1, level)
+                assert config.ascend(inner) == config.squeeze(up)
 
 
 def test_bad_config_rejected():
+    for fields in (
+        {"squeeze_mul": 0},  # the one non-injective squeeze
+        {"ascend_add": "1"},
+        {"squeeze_mul": 2.0},
+        {"squeeze_const": 0.5},
+        {"ascend_add": True},
+        {"squeeze_mul": None},
+    ):
+        with pytest.raises(DomainError):
+            TowerConfig(**fields)
+        with pytest.raises(DomainError):
+            Tower.from_rules(fields)
+
+
+def test_from_rules_checks_the_given_level_coefficient():
+    assert Tower.from_rules({"ascend_add": 2, "squeeze_mul": 3}).config == TowerConfig(2, 3, 0)
+    assert Tower.from_rules({"squeeze_level_coeff": -1}).config == default_tower_config()
+    for c in (5, "-1", -1.0, None):
+        with pytest.raises(DomainError):
+            Tower.from_rules({"squeeze_level_coeff": c})
+
+
+def iterate(config, f, pt):
+    """Reference action: one ascent or squeeze step at a time."""
+    for _ in range(f.shift):
+        pt = config.ascend(pt)
+    for _ in range(f.power_at(pt.level)):
+        pt = config.squeeze(pt)
+    return pt
+
+
+def iterate_rational(config, f, level, payload):
+    """The same steps on a formal solution, whose level may be <= 0."""
+    level, payload = level + f.shift, payload + f.shift * config.ascend_add
+    for _ in range(f.power_at(level)):
+        payload = config.squeeze_mul * payload + config.squeeze_level_coeff * level
+        payload += config.squeeze_const
+    return level, payload
+
+
+def test_closed_forms_match_iteration(rng):
+    # a = 1 and a < 0 included: translations, and involutions for a = -1
+    for config in CONFIGS:
+        inst = Tower(config)
+        for _ in range(40):
+            f, x = inst.random_element(rng), inst.random_point(rng)
+            assert inst.apply(f, x) == iterate(config, f, x)
+            p, q = inst.random_pseudoquotient(rng), inst.random_pseudoquotient(rng)
+            assert inst.pq_equivalent(p, q) == (inst.canonical_value(p) == inst.canonical_value(q))
+            # the canonical value solves f(xi) = x over Q and is shared by the whole class
+            xi = inst.canonical_value(p)
+            solved = iterate_rational(config, p.denominator, xi.level, xi.payload)
+            assert solved == (p.numerator.level, p.numerator.payload)
+            r = inst.pq_left_multiply(p, inst.random_element(rng))
+            assert inst.pq_equivalent(p, r) and inst.canonical_value(r) == xi
+
+
+def test_huge_ascents_are_closed_form():
+    f = TowerMap(((1, 1),), 3)
+    far = TowerMap((), 10_000_000)
+    start = time.perf_counter()
+    assert tw.apply(far, TowerPoint(1, 2)) == TowerPoint(10_000_001, 10_000_002)
+    image = tw.extend_apply(far, Pseudoquotient(TowerPoint(1, 2), f))
+    assert tw.canonical_value(image) == TowerValue(9_999_998, Fraction(19_999_997, 2))
+    p = Pseudoquotient(TowerPoint(1, 2), far)
+    assert not tw.pq_equivalent(p, Pseudoquotient(TowerPoint(1, 2), f))
+    assert tw.pq_equivalent(p, Pseudoquotient(TowerPoint(2, 3), TowerMap((), 10_000_001)))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_squeeze_powers_beyond_the_size_limit_are_refused():
+    f = TowerMap(((1, 10**12),), 0)
     with pytest.raises(DomainError):
-        TowerConfig(
-            squeeze=lambda pt: TowerPoint(pt.level, 3 * pt.payload),  # square fails
-        )
+        tw.apply(f, TowerPoint(1, 2))
     with pytest.raises(DomainError):
-        TowerConfig(ascend=lambda pt: TowerPoint(pt.level + 2, pt.payload))
-    with pytest.raises(DomainError):
-        TowerConfig(squeeze=lambda pt: TowerPoint(pt.level, 0))  # not injective
+        tw.canonical_value(Pseudoquotient(TowerPoint(1, 2), f))
+    # for a = -1 and a = 1 the factor a^k stays small, so any power is computed
+    involution = Tower(TowerConfig(squeeze_mul=-1, squeeze_const=3))
+    assert involution.apply(f, TowerPoint(1, 2)) == TowerPoint(1, 2)
+    translation = Tower(TowerConfig(squeeze_mul=1, squeeze_const=3))
+    assert translation.apply(f, TowerPoint(1, 2)) == TowerPoint(1, 2 + 3 * 10**12)
 
 
 def test_normal_form_constructor():
@@ -132,17 +218,3 @@ def test_canonical_matches_equivalence(rng):
         p = tw.random_pseudoquotient(rng)
         q = tw.random_pseudoquotient(rng)
         assert tw.pq_equivalent(p, q) == (tw.canonical_value(p) == tw.canonical_value(q))
-
-
-def test_custom_config_has_no_canonical_record():
-    custom = TowerConfig(
-        ascend=lambda pt: TowerPoint(pt.level + 1, pt.payload + 2),
-        squeeze=lambda pt: TowerPoint(pt.level, 3 * pt.payload - 4 * pt.level),
-    )
-    inst = Tower(custom)
-    x = inst.apply(TowerMap(((1, 1),), 0), TowerPoint(1, 3))
-    assert x == TowerPoint(1, 5)  # 3*3 - 4*1
-    from pseudoquotients import UsageError
-
-    with pytest.raises(UsageError):
-        inst.canonical_value(inst.embed(TowerPoint(1, 0)))
