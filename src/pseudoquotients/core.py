@@ -41,10 +41,12 @@ __all__ = [
     "DomainError",
     "GroupFraction",
     "Instance",
+    "MAX_POWER_BITS",
     "OreWitness",
     "Preset",
     "Pseudoquotient",
     "UsageError",
+    "bounded_power",
     "frac_inverse",
 ]
 
@@ -62,6 +64,20 @@ def require_int(value: Any, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+MAX_POWER_BITS = 1 << 20  # the largest power an instance computes from its inputs
+
+
+def bounded_power(base: int, k: int, what: str) -> int:
+    """``base**k``, or a :class:`DomainError` if it has over ``MAX_POWER_BITS`` bits.
+
+    The size test ``k * (bit_length - 1)`` is a lower bound on the bits of
+    the power, so no power that fits is refused.
+    """
+    if k * (abs(base).bit_length() - 1) > MAX_POWER_BITS:
+        raise DomainError(f"{what} {base}^{k} has over {MAX_POWER_BITS} bits")
+    return base**k
 
 
 @dataclass(frozen=True)

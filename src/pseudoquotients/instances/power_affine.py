@@ -8,6 +8,10 @@ the positive n-th root of ``x/m`` -- and two representatives are
 equivalent exactly when their root values agree under the cross-power
 rule ``q1**n2 == q2**n1``.
 
+Composition, the Ore witness and the action raise integers to exponents
+taken from the input; a power of more than ``core.MAX_POWER_BITS`` bits
+is a domain error.
+
 Text syntax: an element ``m*x^n`` (``m*`` and ``^n`` default to 1, as in
 ``x`` or ``5*x``), a point ``12``.
 """
@@ -19,7 +23,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, UsageError
+from ..core import (
+    DomainError,
+    Instance,
+    OreWitness,
+    Preset,
+    Pseudoquotient,
+    UsageError,
+    bounded_power,
+)
 from ..syntax import ParseError, parse_int
 
 __all__ = ["PowerAffine", "PowerAffineMap", "RootValue"]
@@ -133,21 +145,22 @@ class PowerAffine(Instance):
         self._check_element(g)
         # f(g(x)) = mf * (mg * x**ng)**nf = mf * mg**nf * x**(nf*ng)
         return PowerAffineMap(
-            f.multiplier * g.multiplier**f.exponent, f.exponent * g.exponent
+            f.multiplier * bounded_power(g.multiplier, f.exponent, "multiplier"),
+            f.exponent * g.exponent,
         )
 
     def apply(self, f, x):
         self._check_element(f)
         self._check_point(x)
-        return f.multiplier * x**f.exponent
+        return f.multiplier * bounded_power(x, f.exponent, "power")
 
     def ore_complete(self, f, g):
         self._check_element(f)
         self._check_element(g)
         # (a^q, p) o (b, q) == (b^p, q) o (a, p) == (a^q b^p, p q)
         return OreWitness(
-            PowerAffineMap(f.multiplier**g.exponent, f.exponent),
-            PowerAffineMap(g.multiplier**f.exponent, g.exponent),
+            PowerAffineMap(bounded_power(f.multiplier, g.exponent, "multiplier"), f.exponent),
+            PowerAffineMap(bounded_power(g.multiplier, f.exponent, "multiplier"), g.exponent),
         )
 
     def canonical_value(self, p: Pseudoquotient) -> RootValue:

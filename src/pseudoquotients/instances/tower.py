@@ -31,7 +31,7 @@ Powers are closed forms -- ``F^n`` adds ``n*s``, and ``P_j^k`` is
 :meth:`Tower.apply` costs the same for every exponent, and the canonical
 value of ``x / (P, n)`` inverts them over Q: a :class:`TowerValue` at
 level ``x.level - n`` with a rational payload.  A factor ``a^k`` of more
-than ``MAX_POWER_BITS`` bits is a domain error.
+than ``core.MAX_POWER_BITS`` bits is a domain error.
 
 Fraction equality compares normal forms, which is complete only when
 distinct normal forms act differently on the completed space; squeezes
@@ -53,7 +53,15 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping
 
-from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, require_int
+from ..core import (
+    DomainError,
+    Instance,
+    OreWitness,
+    Preset,
+    Pseudoquotient,
+    bounded_power,
+    require_int,
+)
 from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
 
 __all__ = [
@@ -123,9 +131,6 @@ class TowerMap:
         return dict(self.level_powers).get(level, 0)
 
 
-MAX_POWER_BITS = 1 << 20  # the largest squeeze factor a^k computed, see the module docs
-
-
 @dataclass(frozen=True)
 class TowerConfig:
     """Ascent ``x -> x + s``, level-``j`` squeeze ``x -> a*x + c*j + e``, ``c = s*(1 - a)``."""
@@ -159,9 +164,7 @@ class TowerConfig:
         b = self.squeeze_level_coeff * level + self.squeeze_const
         if a == 1:
             return 1, k * b
-        if k * (abs(a).bit_length() - 1) > MAX_POWER_BITS:
-            raise DomainError(f"squeeze factor {a}^{k} has over {MAX_POWER_BITS} bits")
-        m = a**k
+        m = bounded_power(a, k, "squeeze factor")
         return m, b * (m - 1) // (a - 1)  # a - 1 divides a^k - 1 exactly
 
 
@@ -288,8 +291,12 @@ class Tower(Instance):
         """The tower under a verifier config's affine rules (see ``presentation_from_config``)."""
         if not isinstance(rules, dict):
             raise DomainError("tower rules must be a JSON object")
-        given = {key.name: rules[key.name] for key in fields(TowerConfig) if key.name in rules}
-        config = TowerConfig(**given)
+        names = [key.name for key in fields(TowerConfig)]
+        for key in rules:
+            if key not in names and key != "squeeze_level_coeff":
+                expected = ", ".join([*names, "squeeze_level_coeff"])
+                raise DomainError(f"unknown tower rule {key!r}; expected one of {expected}")
+        config = TowerConfig(**{name: rules[name] for name in names if name in rules})
         c = config.squeeze_level_coeff
         coeff = rules.get("squeeze_level_coeff", c)
         if require_int(coeff, "squeeze_level_coeff") != c:

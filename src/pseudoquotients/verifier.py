@@ -18,11 +18,24 @@ declared generator order, which makes all results reproducible.
 Search never uses the empty word: words are semigroup words of length at
 least one, so an identity map participates only if some generator denotes
 one.
+
+The searches run over interned points and word actions, as in the
+enumeration of Froidure and Pin (*Algorithms for computing finite
+semigroups*, 1997).  Within one :func:`verify` call every point reached
+gets a small int id, and each generator becomes a lazily filled table
+from ids to ids.  The words of a length are the words one shorter with a
+letter put in front, and a word's action on a base tuple of ids is
+computed from the shorter word's action; words with equal actions on that
+base collapse to the first of them in word order, which is the one any
+result reports.  A search therefore costs one generator call per distinct
+(generator, point) pair and one table lookup per base point of each
+distinct action, not words x letters x samples.  For cancellation the
+base is the samples followed by their images under ``g``, one base for
+each distinct action of ``g``.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -155,60 +168,105 @@ class VerifyReport:
         }
 
 
-class _Evaluator:
-    """Memoized application of generator words to points."""
+class _Search:
+    """Interned points and word actions, shared by the phases of one ``verify`` call.
+
+    Inside, a word is a tuple of generator indices, so that comparing two
+    words of one length compares them in word order; :meth:`spell` gives
+    the names back.  See the module docs for the search itself.
+    """
 
     def __init__(self, presentation: Presentation):
-        self.actions = dict(presentation.generators)
-        self.samples = presentation.sample_points
-        self._memo: dict[tuple[str, Any], Any] = {}
+        self.names = presentation.names
+        self._letters = {name: a for a, name in enumerate(self.names)}
+        self._actions = [action for _, action in presentation.generators]
+        self._tables: list[dict[int, int]] = [{} for _ in self._actions]
+        self._ids: dict[Any, int] = {}
+        self._points: list = []
+        self._layers: dict[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]] = {}
+        self._by_tail: dict[tuple[tuple[int, ...], int], dict] = {}
+        self.samples = tuple(self._intern(p) for p in presentation.sample_points)
 
-    def step(self, name: str, point):
-        key = (name, point)
-        out = self._memo.get(key)
-        if out is None:
-            out = self.actions[name](point)
-            self._memo[key] = out
-        return out
+    def _intern(self, point) -> int:
+        pid = self._ids.setdefault(point, len(self._points))  # hashes the point once
+        if pid == len(self._points):
+            self._points.append(point)
+        return pid
 
-    def word(self, word: Word, point):
+    def _image(self, letter: int, ids: tuple[int, ...]) -> tuple[int, ...]:
+        table = self._tables[letter]
+        try:
+            return tuple(map(table.__getitem__, ids))
+        except KeyError:
+            action, points = self._actions[letter], self._points
+            for pid in ids:
+                if pid not in table:
+                    table[pid] = self._intern(action(points[pid]))
+            return tuple(map(table.__getitem__, ids))
+
+    def act(self, word: Word, base: tuple[int, ...]) -> tuple[int, ...]:
+        """The action of a word of generator names on ``base``."""
         for name in reversed(word):  # rightmost letter acts first
-            point = self.step(name, point)
-        return point
+            base = self._image(self._letters[name], base)
+        return base
 
-    def on_points(self, word: Word, points) -> tuple:
-        return tuple(self.word(word, p) for p in points)
+    def spell(self, word: tuple[int, ...]) -> Word:
+        return tuple(self.names[a] for a in word)
 
-    def signature(self, word: Word) -> tuple:
-        return self.on_points(word, self.samples)
+    def layer(self, base: tuple[int, ...], length: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each distinct action on ``base`` of the words of ``length``, with its first word.
+
+        Built from the layer one shorter, taking first letters in declared
+        order and suffixes in the order of their first words, so that the
+        first word reaching an action is the first in word order and the
+        actions come in the order of their first words.
+        """
+        layers = self._layers.setdefault(base, [{base: ()}])
+        while len(layers) <= length:
+            shorter = layers[-1]
+            layer: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for letter in range(len(self._actions)):
+                for action, word in shorter.items():
+                    layer.setdefault(self._image(letter, action), (letter, *word))
+            layers.append(layer)
+        return layers[length]
+
+    def first_split(self, base: tuple[int, ...], n: int, len1: int, len2: int):
+        """The first ``(f1, f2)`` of lengths ``len1, len2`` agreeing only on ``base[n:]``."""
+        second = self.layer(base, len2)
+        by_tail = self._by_tail.get((base, len2))
+        if by_tail is None:
+            by_tail = self._by_tail[base, len2] = {}
+            for action in second:
+                by_tail.setdefault(action[n:], []).append(action)
+        for action, f1 in self.layer(base, len1).items():
+            for other in by_tail.get(action[n:], ()):
+                if other[:n] != action[:n]:
+                    return f1, second[other]
+        return None
 
 
-def _words_by_length(names: tuple[str, ...], max_depth: int) -> list[list[Word]]:
-    table: list[list[Word]] = [[]]
-    for length in range(1, max_depth + 1):
-        table.append([tuple(w) for w in itertools.product(names, repeat=length)])
-    return table
-
-
-def verify_injectivity(presentation: Presentation) -> InjectivityResult:
+def verify_injectivity(
+    presentation: Presentation, *, _search: _Search | None = None
+) -> InjectivityResult:
     """Look for a word and two distinct samples it maps to the same point."""
     if len(set(presentation.sample_points)) < 2:
         raise UsageError("injectivity checking needs at least two distinct sample points")
-    ev = _Evaluator(presentation)
-    words = _words_by_length(presentation.names, presentation.max_depth)
+    search = _search or _Search(presentation)
+    samples = search.samples
     for length in range(1, presentation.max_depth + 1):
-        for word in words[length]:
-            images: dict[Any, Any] = {}
-            for point in presentation.sample_points:
-                image = ev.word(word, point)
-                if image in images and images[image] != point:
-                    return InjectivityResult(False, word, images[image], point)
-                images.setdefault(image, point)
+        for action, word in search.layer(samples, length).items():
+            first: dict[int, int] = {}
+            for i, image in enumerate(action):
+                j = first.setdefault(image, i)
+                if samples[j] != samples[i]:
+                    points = presentation.sample_points
+                    return InjectivityResult(False, search.spell(word), points[j], points[i])
     return InjectivityResult(True)
 
 
 def search_ore_witness(
-    presentation: Presentation, f: Word, g: Word
+    presentation: Presentation, f: Word, g: Word, *, _search: _Search | None = None
 ) -> tuple[Word, Word] | None:
     """Find the first word pair ``(w1, w2)`` with ``w1 o g == w2 o f`` on the samples.
 
@@ -216,78 +274,49 @@ def search_ore_witness(
     the declared generator order; ``None`` means no witness within the
     bound, which is a result rather than an error.
     """
-    ev = _Evaluator(presentation)
+    search = _search or _Search(presentation)
     depth = presentation.max_depth
-    words = _words_by_length(presentation.names, depth)
-    base_f = ev.on_points(f, presentation.sample_points)
-    base_g = ev.on_points(g, presentation.sample_points)
-    # first w2 of each length for every achievable action on base_f
-    first_by_sig: list[dict[tuple, Word] | None] = [None] * (depth + 1)
+    base_f = search.act(f, search.samples)
+    base_g = search.act(g, search.samples)
     for total in range(2, 2 * depth + 1):
         for len1 in range(max(1, total - depth), min(depth, total - 1) + 1):
-            len2 = total - len1
-            if first_by_sig[len2] is None:
-                table: dict[tuple, Word] = {}
-                for w2 in words[len2]:
-                    table.setdefault(ev.on_points(w2, base_f), w2)
-                first_by_sig[len2] = table
-            for w1 in words[len1]:
-                w2 = first_by_sig[len2].get(ev.on_points(w1, base_g))
+            # the first w2 of its length for every action on base_f
+            first_w2 = search.layer(base_f, total - len1)
+            for action, w1 in search.layer(base_g, len1).items():
+                w2 = first_w2.get(action)
                 if w2 is not None:
-                    return w1, w2
+                    return search.spell(w1), search.spell(w2)
     return None
 
 
-def verify_right_cancellation(presentation: Presentation) -> CancellationResult:
+def verify_right_cancellation(
+    presentation: Presentation, *, _search: _Search | None = None
+) -> CancellationResult:
     """Look for words with ``f1 o g == f2 o g`` on samples while ``f1 != f2`` on them.
 
     The first counterexample in the order (total length, |f1|, |f2|, |g|,
     then word order) is returned; candidates whose sample actions already
     agree are skipped, since they are indistinguishable here anyway.
     """
-    ev = _Evaluator(presentation)
+    search = _search or _Search(presentation)
     depth = presentation.max_depth
-    words = _words_by_length(presentation.names, depth)
-    rank: dict[Word, int] = {}
-    for length in range(1, depth + 1):
-        for i, w in enumerate(words[length]):
-            rank[w] = i
-    sample_sig = {w: ev.signature(w) for length in range(1, depth + 1) for w in words[length]}
-    grouped: dict[tuple[Word, int], dict[tuple, list[Word]]] = {}
-
-    def groups_for(g: Word, length: int) -> dict[tuple, list[Word]]:
-        key = (g, length)
-        table = grouped.get(key)
-        if table is None:
-            base = ev.on_points(g, presentation.sample_points)
-            table = {}
-            for w in words[length]:
-                table.setdefault(ev.on_points(w, base), []).append(w)
-            grouped[key] = table
-        return table
-
+    samples = search.samples
     for total in range(3, 3 * depth + 1):
         for len1 in range(1, depth + 1):
             for len2 in range(1, depth + 1):
                 len3 = total - len1 - len2
                 if not 1 <= len3 <= depth:
                     continue
-                candidates: list[tuple[int, int, int, Word, Word, Word]] = []
-                for g in words[len3]:
-                    base = ev.on_points(g, presentation.sample_points)
-                    table = groups_for(g, len2)
-                    hit = None
-                    for f1 in words[len1]:
-                        for f2 in table.get(ev.on_points(f1, base), ()):
-                            if sample_sig[f1] != sample_sig[f2]:
-                                hit = (rank[f1], rank[f2], rank[g], f1, f2, g)
-                                break
-                        if hit:
-                            break
-                    if hit:
-                        candidates.append(hit)
+                # With words collapsed by their action on the samples followed
+                # by g's images, the first word of each action is the first
+                # in word order, so the least triple is among these.
+                candidates = []
+                for image, g in search.layer(samples, len3).items():
+                    pair = search.first_split(samples + image, len(samples), len1, len2)
+                    if pair is not None:
+                        candidates.append((*pair, g))
                 if candidates:
-                    _, _, _, f1, f2, g = min(candidates)
+                    f1, f2, g = map(search.spell, min(candidates))
                     return CancellationResult(False, f1, f2, g)
     return CancellationResult(True)
 
@@ -329,18 +358,19 @@ def verify(presentation: Presentation) -> VerifyReport:
     generators in declared order; a witness for ``(f, g)`` doubles as one
     for ``(g, f)`` with its sides swapped, so each pair appears once.
     """
-    injectivity = verify_injectivity(presentation)
+    search = _Search(presentation)
+    injectivity = verify_injectivity(presentation, _search=search)
     names = presentation.names
     ore = []
     for i, f_name in enumerate(names):
         for g_name in names[i + 1 :]:
             f, g = (f_name,), (g_name,)
-            found = search_ore_witness(presentation, f, g)
+            found = search_ore_witness(presentation, f, g, _search=search)
             if found is None:
                 ore.append(OreSearchResult(f, g, None, None))
             else:
                 ore.append(OreSearchResult(f, g, found[0], found[1]))
-    cancellation = verify_right_cancellation(presentation)
+    cancellation = verify_right_cancellation(presentation, _search=search)
     validated = _revalidate(presentation, injectivity, ore, cancellation)
     return VerifyReport(
         label=presentation.label,

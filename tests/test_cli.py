@@ -1,6 +1,7 @@
 """Command-line interface: frozen outputs, exit codes, and round-tripping."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,28 @@ def test_numbers_too_large_to_print_or_parse_exit_1(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("domain error:")
     assert "Traceback" not in err
+
+
+def test_power_affine_powers_beyond_the_size_limit_exit_1(capsys):
+    # the Ore witness would need 2^(10^12), a number of 10^12 bits
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "equiv", "--instance", "power-affine", "pq(2; 2*x^1)", "pq(2; 3*x^1000000000000)"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "domain error: multiplier 2^1000000000000 has over 1048576 bits\n"
+
+
+def test_misspelled_tower_rule_exits_1(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "tower", "tower": {"squeeze_mull": 3}}), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "domain error: unknown tower rule 'squeeze_mull'; expected one of "
+        "ascend_add, squeeze_mul, squeeze_const, squeeze_level_coeff\n"
+    )
 
 
 def test_other_value_errors_are_not_masked(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from pseudoquotients import (
     RootValue,
     UsageError,
 )
+from pseudoquotients.core import MAX_POWER_BITS
 
 pa = PowerAffine()
 
@@ -179,6 +180,22 @@ def test_reduced_is_fast_for_an_index_of_twenty_one_digits():
     low = value.reduced()
     assert time.perf_counter() - start < 1.0
     assert (low.radicand, low.index) == (Fraction(2), 5 * 10**19)
+
+
+def test_powers_beyond_the_size_limit_are_refused():
+    # 2^(2^20) has 2^20 + 1 bits and is computed; the lower-bound size
+    # test refuses only powers that certainly exceed the limit
+    assert pa.apply(PowerAffineMap(1, MAX_POWER_BITS), 2) == 2**MAX_POWER_BITS
+    huge = PowerAffineMap(3, 10**12)
+    with pytest.raises(DomainError):
+        pa.apply(huge, 2)
+    with pytest.raises(DomainError):
+        pa.compose(huge, PowerAffineMap(2, 1))
+    with pytest.raises(DomainError):
+        pa.ore_complete(PowerAffineMap(2, 1), huge)
+    # a base of 1 stays small under any exponent
+    assert pa.apply(huge, 1) == 3
+    assert pa.compose(huge, PowerAffineMap(1, 5)) == PowerAffineMap(3, 5 * 10**12)
 
 
 def test_extend_apply_frozen_example():
