@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Collection, NamedTuple
 
 __all__ = [
     "DomainError",
@@ -59,10 +59,23 @@ class DomainError(ValueError):
     """A value lies outside an instance's domain (zero exponent, singular matrix, ...)."""
 
 
-def require_int(value: Any, what: str) -> int:
-    """``value`` itself if it is an integer (a bool is not), else a :class:`DomainError`."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def require_int(value: Any, what: str, minimum: int | None = None) -> int:
+    """``value`` if it is an integer (a bool is not) of at least ``minimum``, else a DomainError."""
+    # constructors call this on every value: an exact int passes the cheap first test
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_object(value: Any, what: str, keys: Collection[str]) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``; ``what`` names one key."""
+    if not isinstance(value, dict):
+        raise DomainError(f"expected a JSON object of {what}s, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise DomainError(f"unknown {what} {key!r}; expected one of {', '.join(keys)}")
     return value
 
 

@@ -23,7 +23,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, UsageError
+from ..core import (
+    DomainError,
+    Instance,
+    OreWitness,
+    Preset,
+    Pseudoquotient,
+    UsageError,
+    require_int,
+)
 from ..syntax import ParseError, parse_bracketed, parse_int, split_top_level, unwrap
 
 __all__ = ["AffineLattice", "AffineLatticeMap", "adjugate", "determinant"]
@@ -121,8 +129,8 @@ class AffineLatticeMap:
     offset: Vector
 
     def __post_init__(self):
-        matrix = tuple(tuple(int(e) for e in row) for row in self.matrix)
-        offset = tuple(int(e) for e in self.offset)
+        matrix = tuple(tuple(require_int(e, "matrix entry") for e in row) for row in self.matrix)
+        offset = tuple(require_int(e, "offset entry") for e in self.offset)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
         n = len(matrix)
@@ -146,9 +154,7 @@ class AffineLattice(Instance):
     point_type = tuple
 
     def __init__(self, dim: int = 1):
-        if dim < 1:
-            raise DomainError("dimension must be >= 1")
-        self.dim = dim
+        self.dim = require_int(dim, "dimension", 1)
 
     @classmethod
     def create(cls, dim: int = 1) -> AffineLattice:

@@ -23,6 +23,11 @@ makes class equality a structural comparison.  Both generators preserve
 the integral and the L1 norm, so a class inherits both from any of its
 numerators.
 
+Sizes are bounded: a factor ``2**n`` of more than ``core.MAX_POWER_BITS``
+bits, and an image under :meth:`DyadicSteps.apply` of more than
+:data:`MAX_CELLS` cells, are domain errors.  The image of the zero
+function is the zero function, built without any cell.
+
 Text syntax: an element is a word such as ``t^2 d^1`` or ``d t``, its
 letters composed in written order (a bare letter has exponent 1); a
 point lists its coefficients, ``[3,1/2]``.
@@ -35,11 +40,23 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
-from ..core import DomainError, Instance, OreWitness, Preset, Pseudoquotient, UsageError
+from ..core import (
+    DomainError,
+    Instance,
+    OreWitness,
+    Preset,
+    Pseudoquotient,
+    UsageError,
+    bounded_power,
+    require_int,
+)
 from ..syntax import parse_bracketed, parse_rational, word_letters
 
-__all__ = ["DyadicStepMap", "DyadicSteps", "DyadicStepValue", "StepFunction"]
+__all__ = ["MAX_CELLS", "DyadicStepMap", "DyadicSteps", "DyadicStepValue", "StepFunction"]
+
+MAX_CELLS = 1 << 22  # the most cells an image under ``apply`` may have
 
 
 @dataclass(frozen=True)
@@ -53,7 +70,7 @@ class StepFunction:
     coefficients: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -73,12 +90,8 @@ class DyadicStepMap:
     halvings: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.shift, int) or self.shift < 0:
-            raise DomainError(f"shift exponent must be a nonnegative integer, got {self.shift}")
-        if not isinstance(self.halvings, int) or self.halvings < 0:
-            raise DomainError(
-                f"refine exponent must be a nonnegative integer, got {self.halvings}"
-            )
+        require_int(self.shift, "shift exponent", 0)
+        require_int(self.halvings, "refine exponent", 0)
 
 
 @dataclass(frozen=True)
@@ -97,10 +110,8 @@ class DyadicStepValue:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise DomainError("scale must be nonnegative")
-        scale, start = self.scale, self.start
-        values = [Fraction(v) for v in self.values]
+        scale, start = require_int(self.scale, "scale", 0), require_int(self.start, "start")
+        values = [v if type(v) is Fraction else Fraction(v) for v in self.values]
         while values and values[-1] == 0:
             values.pop()
         while values and values[0] == 0:
@@ -145,14 +156,20 @@ class DyadicSteps(Instance):
         self._check_element(f)
         self._check_element(g)
         # moving d^n1 past t^m2 doubles the shift n1 times
-        return DyadicStepMap(f.shift + 2**f.halvings * g.shift, f.halvings + g.halvings)
+        lifted = bounded_power(2, f.halvings, "shift factor") * g.shift
+        return DyadicStepMap(f.shift + lifted, f.halvings + g.halvings)
 
     def apply(self, f, x):
         self._check_element(f)
         self._check_point(x)
-        blow = 2**f.halvings
-        refined = tuple(c / blow for c in x.coefficients for _ in range(blow))
-        return StepFunction((Fraction(0),) * f.shift + refined)
+        if not x.coefficients:
+            return x  # the zero function, whatever f does to the grid
+        blow = bounded_power(2, f.halvings, "refine factor")
+        if f.shift + len(x.coefficients) * blow > MAX_CELLS:
+            raise DomainError(f"the image would have over {MAX_CELLS} cells")
+        # each coefficient is halved once; its 2^n copies share that Fraction
+        refined = chain.from_iterable(repeat(c / blow, blow) for c in x.coefficients)
+        return StepFunction((Fraction(0),) * f.shift + tuple(refined))
 
     def ore_complete(self, f, g):
         self._check_element(f)
@@ -160,11 +177,11 @@ class DyadicSteps(Instance):
         if f.halvings <= g.halvings:
             gap = g.halvings - f.halvings
             return OreWitness(
-                DyadicStepMap(2**gap * f.shift, 0),
+                DyadicStepMap(bounded_power(2, gap, "shift factor") * f.shift, 0),
                 DyadicStepMap(g.shift, gap),
             )
         gap = f.halvings - g.halvings
-        lifted = 2**gap * g.shift
+        lifted = bounded_power(2, gap, "shift factor") * g.shift
         # smallest witness: cancel the common shift part
         return OreWitness(
             DyadicStepMap(max(0, f.shift - lifted), gap),
@@ -175,7 +192,7 @@ class DyadicSteps(Instance):
         """Invert the denominator: ``xi(s) = 2**n * x(2**n * s + m)``."""
         f = self._check_element(p.denominator)
         x = self._check_point(p.numerator)
-        blow = 2**f.halvings
+        blow = bounded_power(2, f.halvings, "refine factor")
         return DyadicStepValue(
             scale=f.halvings,
             start=-f.shift,

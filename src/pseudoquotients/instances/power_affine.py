@@ -31,6 +31,7 @@ from ..core import (
     Pseudoquotient,
     UsageError,
     bounded_power,
+    require_int,
 )
 from ..syntax import ParseError, parse_int
 
@@ -70,12 +71,8 @@ class PowerAffineMap:
     exponent: int
 
     def __post_init__(self):
-        if not isinstance(self.multiplier, int) or not isinstance(self.exponent, int):
-            raise DomainError("multiplier and exponent must be integers")
-        if self.multiplier < 1:
-            raise DomainError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.exponent < 1:
-            raise DomainError(f"exponent must be >= 1, got {self.exponent}")
+        require_int(self.multiplier, "multiplier", 1)
+        require_int(self.exponent, "exponent", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +81,8 @@ class RootValue:
 
     Equality follows the value, not the representation:
     ``RootValue(q1, n1) == RootValue(q2, n2)`` iff ``q1**n2 == q2**n1``,
-    so ``RootValue(4, 2) == RootValue(2, 1)``.  :meth:`reduced` returns
-    the unique representative of minimal index.
+    so ``RootValue(4, 2) == RootValue(2, 1)``.  Equality and the hash
+    compare the unique representatives of minimal index from :meth:`reduced`.
     """
 
     radicand: Fraction
@@ -93,15 +90,15 @@ class RootValue:
 
     def __post_init__(self):
         object.__setattr__(self, "radicand", Fraction(self.radicand))
-        if self.index < 1:
-            raise DomainError(f"root index must be >= 1, got {self.index}")
+        require_int(self.index, "root index", 1)
         if self.radicand < 0:
             raise DomainError("radicand must be nonnegative")
 
     def __eq__(self, other):
         if not isinstance(other, RootValue):
             return NotImplemented
-        return self.radicand**other.index == other.radicand**self.index
+        low, other_low = self.reduced(), other.reduced()
+        return (low.radicand, low.index) == (other_low.radicand, other_low.index)
 
     def __hash__(self):
         low = self.reduced()

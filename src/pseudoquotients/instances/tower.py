@@ -61,6 +61,7 @@ from ..core import (
     Pseudoquotient,
     bounded_power,
     require_int,
+    require_object,
 )
 from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
 
@@ -82,10 +83,8 @@ class TowerPoint:
     payload: int
 
     def __post_init__(self):
-        if not isinstance(self.level, int) or self.level < 1:
-            raise DomainError(f"level must be a positive integer, got {self.level}")
-        if not isinstance(self.payload, int):
-            raise DomainError("payload must be an integer")
+        require_int(self.level, "level", 1)
+        require_int(self.payload, "payload")
 
 
 @dataclass(frozen=True)
@@ -113,14 +112,10 @@ class TowerMap:
     def __post_init__(self):
         cleaned: dict[int, int] = {}
         for level, exponent in self.level_powers:
-            if not isinstance(level, int) or level < 1:
-                raise DomainError(f"squeeze level must be a positive integer, got {level}")
-            if not isinstance(exponent, int) or exponent < 0:
-                raise DomainError(f"squeeze exponent must be >= 0, got {exponent}")
-            if exponent:
+            require_int(level, "squeeze level", 1)
+            if require_int(exponent, "squeeze exponent", 0):
                 cleaned[level] = cleaned.get(level, 0) + exponent
-        if not isinstance(self.shift, int) or self.shift < 0:
-            raise DomainError(f"ascent power must be >= 0, got {self.shift}")
+        require_int(self.shift, "ascent power", 0)
         object.__setattr__(self, "level_powers", tuple(sorted(cleaned.items())))
 
     @classmethod
@@ -182,10 +177,7 @@ _LETTER = re.compile(r"(?:F|P(?P<level>\d+))(?:\^(?P<exp>-?\d+))?")
 def _letter(match: re.Match, exponent: int) -> TowerMap:
     if match["level"] is None:
         return TowerMap((), exponent)
-    level = int(match["level"])
-    if level < 1:
-        raise DomainError(f"squeeze level must be >= 1, got {level}")
-    return TowerMap(((level, exponent),), 0)
+    return TowerMap(((int(match["level"]), exponent),), 0)
 
 
 class Tower(Instance):
@@ -214,7 +206,7 @@ class Tower(Instance):
         level = pt.level + f.shift
         k = f.power_at(level)
         if not (k or f.shift):
-            return pt  # the same object, so the verifier's memo finds it by identity
+            return pt  # the same object, so the verifier's intern table finds it by identity
         m, t = self.config.squeeze_power(level, k)
         return TowerPoint(level, m * (pt.payload + f.shift * self.config.ascend_add) + t)
 
@@ -263,10 +255,7 @@ class Tower(Instance):
         if len(pieces) != 2:
             lead = offset + len(text) - len(text.lstrip())
             raise ParseError("expected exactly (level, payload)", lead)
-        level, payload = parse_int(*pieces[0]), parse_int(*pieces[1])
-        if level < 1:
-            raise DomainError(f"level must be >= 1, got {level}")
-        return TowerPoint(level, payload)
+        return TowerPoint(parse_int(*pieces[0]), parse_int(*pieces[1]))
 
     def point_text(self, x: TowerPoint) -> str:
         return f"({x.level}, {x.payload})"
@@ -289,13 +278,8 @@ class Tower(Instance):
     @classmethod
     def from_rules(cls, rules: dict) -> Tower:
         """The tower under a verifier config's affine rules (see ``presentation_from_config``)."""
-        if not isinstance(rules, dict):
-            raise DomainError("tower rules must be a JSON object")
         names = [key.name for key in fields(TowerConfig)]
-        for key in rules:
-            if key not in names and key != "squeeze_level_coeff":
-                expected = ", ".join([*names, "squeeze_level_coeff"])
-                raise DomainError(f"unknown tower rule {key!r}; expected one of {expected}")
+        rules = require_object(rules, "tower rule", [*names, "squeeze_level_coeff"])
         config = TowerConfig(**{name: rules[name] for name in names if name in rules})
         c = config.squeeze_level_coeff
         coeff = rules.get("squeeze_level_coeff", c)

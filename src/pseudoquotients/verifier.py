@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .core import DomainError, UsageError, require_int
+from .core import DomainError, UsageError, require_int, require_object
 from .instances import PRESETS
 
 __all__ = [
@@ -85,8 +85,7 @@ class Presentation:
             raise DomainError("generator names must be distinct")
         if not self.sample_points:
             raise DomainError("a presentation needs at least one sample point")
-        if require_int(self.max_depth, "max_depth") < 1:
-            raise DomainError("max_depth must be >= 1")
+        require_int(self.max_depth, "max_depth", 1)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -389,6 +388,10 @@ def verify(presentation: Presentation) -> VerifyReport:
 # ----------------------------------------------------------------------
 
 PRESET_NAMES = tuple(PRESETS)
+_INT_CONFIG_KEYS = ("domain", "generators", "samples", "max_depth", "label")
+_RULES_KEYS = tuple(name for name, spec in PRESETS.items() if spec.from_rules is not None)
+# the keys of either schema, checked before each branch checks its own
+_CONFIG_KEYS = ("preset", *_RULES_KEYS, *_INT_CONFIG_KEYS)
 
 
 def preset(name: str, max_depth: int | None = None) -> Presentation:
@@ -404,8 +407,10 @@ def _preset(name: str, max_depth: int | None, config: dict) -> Presentation:
         raise DomainError(
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
         ) from None
+    rules_keys = (name,) if spec.from_rules is not None else ()
+    require_object(config, "config key", ("preset", "max_depth", *rules_keys))
     instance, label = spec.instance, name
-    if spec.from_rules is not None and config.get(name) is not None:
+    if rules_keys and config.get(name) is not None:
         instance, label = spec.from_rules(config[name]), f"{name} (custom rules)"
     return Presentation(
         generators=tuple(
@@ -418,25 +423,27 @@ def _preset(name: str, max_depth: int | None, config: dict) -> Presentation:
     )
 
 
-def _int_affine(entry: dict) -> Callable[[int], int]:
-    if not isinstance(entry, dict):
-        raise DomainError("each affine rule must be a JSON object")
-    mul = require_int(entry.get("mul", 1), "mul")
-    add = require_int(entry.get("add", 0), "add")
+def _int_affine(rule: dict) -> Callable[[int], int]:
+    mul = require_int(rule.get("mul", 1), "mul")
+    add = require_int(rule.get("add", 0), "add")
     return lambda x: mul * x + add
 
 
-def _int_generator(entry: dict) -> Callable[[int], int]:
+def _int_generator(entry: Any) -> tuple[str, Callable[[int], int]]:
+    entry = require_object(entry, "generator key", ("name", "mul", "add", "even", "odd"))
+    if "name" not in entry:
+        raise DomainError("each generator needs a 'name'")
     if "even" in entry or "odd" in entry:
+        require_object(entry, "parity generator key", ("name", "even", "odd"))
         if "even" not in entry or "odd" not in entry:
             raise DomainError("a parity generator needs both 'even' and 'odd' rules")
-        even = _int_affine(entry["even"])
-        odd = _int_affine(entry["odd"])
-        return lambda x: even(x) if x % 2 == 0 else odd(x)
-    return _int_affine(entry)
+        even = _int_affine(require_object(entry["even"], "parity rule key", ("mul", "add")))
+        odd = _int_affine(require_object(entry["odd"], "parity rule key", ("mul", "add")))
+        return str(entry["name"]), lambda x: even(x) if x % 2 == 0 else odd(x)
+    return str(entry["name"]), _int_affine(entry)
 
 
-def presentation_from_config(config: dict) -> Presentation:
+def presentation_from_config(config: Any) -> Presentation:
     """Build a presentation from the JSON config schema.
 
     Either ``{"preset": <name>, "max_depth": k, "tower": {...}}`` or an
@@ -446,30 +453,27 @@ def presentation_from_config(config: dict) -> Presentation:
          "generators": [{"name": "dbl", "mul": 2, "add": 0},
                         {"name": "osh", "even": {"mul": 1}, "odd": {"add": 2}}],
          "samples": [-3, -1, 0, 1, 2],
-         "max_depth": 3}
+         "max_depth": 3, "label": "demo"}
 
     Tower presets accept custom affine rules
     ``{"ascend_add": s, "squeeze_mul": a, "squeeze_const": e}`` for ascent
     ``x -> x + s`` and level-``n`` squeeze ``x -> a*x + c*n + e``, where
     ``c = s*(1 - a)`` is derived because the squares commute exactly for
     that value; a given ``"squeeze_level_coeff"`` must equal it, and
-    ``a = 0`` is rejected.  Every number in a config must be a JSON integer.
+    ``a = 0`` is rejected.  Every number must be a JSON integer and every
+    level a JSON object with only the keys shown; anything else is a domain error.
     """
-    if not isinstance(config, dict):
-        raise DomainError("config must be a JSON object")
+    config = require_object(config, "config key", _CONFIG_KEYS)
     depth = config.get("max_depth")
     if "preset" in config:
         return _preset(config["preset"], depth, config)
+    require_object(config, "config key", _INT_CONFIG_KEYS)
     if config.get("domain") != "int":
         raise DomainError("config needs either a 'preset' or '\"domain\": \"int\"'")
     raw_gens = config.get("generators")
     if not isinstance(raw_gens, list) or not raw_gens:
         raise DomainError("config needs a nonempty 'generators' list")
-    generators = []
-    for entry in raw_gens:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise DomainError("each generator needs a 'name'")
-        generators.append((str(entry["name"]), _int_generator(entry)))
+    generators = [_int_generator(entry) for entry in raw_gens]
     samples = config.get("samples")
     if not isinstance(samples, list) or not samples:
         raise DomainError("config needs a nonempty 'samples' list of integers")

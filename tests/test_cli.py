@@ -258,3 +258,101 @@ def test_other_value_errors_are_not_masked(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_normalize", broken)
     with pytest.raises(ValueError, match="not a digit limit"):
         main(["normalize", "--instance", "tower", "pq((1,2); F)"])
+
+
+def _int_config(**changes):
+    config = {
+        "domain": "int",
+        "generators": [
+            {"name": "a", "mul": 2},
+            {"name": "b", "even": {"add": 1}, "odd": {"mul": 1}},
+        ],
+        "samples": [1, 2],
+    }
+    return {**config, **changes}
+
+
+def _with_generator(entry):
+    return _int_config(generators=[{"name": "a", "mul": 2}, entry])
+
+
+# one config per level of the schema, each wrong in one place; the message
+# names the offending key, or the level that is not a JSON object
+BAD_CONFIGS = {
+    "preset-key": (
+        {"preset": "tower", "max_depth": 2, "label": "mine"}, "unknown config key 'label'"
+    ),
+    # the next two configs used to run and exit 0, the second with "a" as the identity
+    "preset-rules-key": (
+        {"preset": "power-affine", "tower": {"ascend_add": 2}, "label": "mine"},
+        "unknown config key 'tower'; expected one of preset, max_depth\n",
+    ),
+    "int-key": (
+        {"domain": "int", "generators": [{"name": "a", "mull": 2}, {"name": "b", "add": 1}],
+         "samples": [1, 2], "max_dept": 2},
+        "unknown config key 'max_dept'; expected one of "
+        "preset, tower, domain, generators, samples, max_depth, label\n",
+    ),
+    "int-preset-key": (_int_config(tower={}), "unknown config key 'tower'"),
+    "config-not-object": ([1, 2], "expected a JSON object of config keys, got list"),
+    "generator-key": (_with_generator({"name": "g", "mull": 2}), "unknown generator key 'mull'"),
+    "generator-mixed": (
+        _with_generator({"name": "g", "mul": 2, "even": {}, "odd": {}}),
+        "unknown parity generator key 'mul'",
+    ),
+    "generator-not-object": (
+        _with_generator("g"), "expected a JSON object of generator keys, got str"
+    ),
+    "parity-rule-key": (
+        _with_generator({"name": "g", "even": {"mul": 1, "ad": 1}, "odd": {}}),
+        "unknown parity rule key 'ad'",
+    ),
+    "parity-rule-not-object": (
+        _with_generator({"name": "g", "even": {}, "odd": [1]}),
+        "expected a JSON object of parity rule keys, got list",
+    ),
+    "tower-rule-key": (
+        {"preset": "tower", "tower": {"squeeze": 3}}, "unknown tower rule 'squeeze'"
+    ),
+    "tower-rules-not-object": (
+        {"preset": "tower", "tower": 5}, "expected a JSON object of tower rules, got int"
+    ),
+}
+
+
+@pytest.mark.parametrize("config, message", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_config_keys_and_objects_are_checked_at_every_level(capsys, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"domain error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", "--instance", "dyadic-steps", "t^1000000000", "pq([1]; t)"),
+        ("equiv", "--instance", "dyadic-steps", "pq([1]; d^40000000 t)", "pq([1]; t)"),
+        ("normalize", "--instance", "dyadic-steps", "pq([1]; d^10000000000)"),
+        ("apply", "--instance", "dyadic-steps", "d^30", "pq([1]; t)"),
+    ],
+    ids=["shift-1e9", "refine-4e7-witness", "refine-1e10-canonical", "refine-30-image"],
+)
+def test_dyadic_size_limits_exit_1_as_a_subprocess(argv):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pseudoquotients", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=5,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("domain error:")
+    assert "Traceback" not in done.stderr

@@ -12,6 +12,7 @@ from pseudoquotients import (
     Pseudoquotient,
     StepFunction,
 )
+from pseudoquotients.instances import dyadic_steps
 
 dy = DyadicSteps()
 
@@ -162,3 +163,49 @@ def test_negative_exponents_rejected():
         DyadicStepMap(-1, 0)
     with pytest.raises(DomainError):
         DyadicStepMap(0, -2)
+
+
+def test_apply_refuses_images_over_the_cell_limit(monkeypatch):
+    assert dyadic_steps.MAX_CELLS == 1 << 22
+    monkeypatch.setattr(dyadic_steps, "MAX_CELLS", 8)
+    two = StepFunction((Fraction(1), Fraction(2)))
+    assert len(dy.apply(DyadicStepMap(0, 2), two).coefficients) == 8
+    assert len(dy.apply(DyadicStepMap(6, 0), two).coefficients) == 8
+    for f in (DyadicStepMap(1, 2), DyadicStepMap(7, 0), DyadicStepMap(0, 3)):
+        with pytest.raises(DomainError, match="^the image would have over 8 cells$"):
+            dy.apply(f, two)
+
+
+def test_zero_function_stays_zero_under_any_map():
+    zero = StepFunction(())
+    # no cell is built, so neither exponent is limited here
+    assert dy.apply(DyadicStepMap(10**12, 10**12), zero) == zero
+
+
+def test_powers_of_two_beyond_the_size_limit_are_domain_errors():
+    huge = DyadicStepMap(0, 10**10)
+    one = StepFunction((Fraction(1),))
+    for call in (
+        lambda: dy.compose(huge, DyadicStepMap(1, 0)),
+        lambda: dy.apply(huge, one),
+        lambda: dy.ore_complete(huge, DyadicStepMap(1, 0)),
+        lambda: dy.ore_complete(DyadicStepMap(1, 0), huge),
+        lambda: dy.canonical_value(Pseudoquotient(one, huge)),
+    ):
+        with pytest.raises(DomainError, match="has over 1048576 bits"):
+            call()
+
+
+def test_apply_halves_each_coefficient_once():
+    out = dy.apply(DyadicStepMap(1, 3), StepFunction((Fraction(1), Fraction(3))))
+    assert out.coefficients == (0,) + (Fraction(1, 8),) * 8 + (Fraction(3, 8),) * 8
+    # the copies of one coefficient share one halved Fraction
+    assert len({id(c) for c in out.coefficients[1:]}) == 2
+
+
+def test_given_fractions_are_kept_and_other_numbers_converted():
+    half = Fraction(1, 2)
+    assert StepFunction((half, 3)).coefficients[0] is half
+    assert type(StepFunction((half, 3)).coefficients[1]) is Fraction
+    assert DyadicStepValue(1, 0, (half,)).values[0] is half
+    assert type(DyadicStepValue(0, 0, (3,)).values[0]) is Fraction

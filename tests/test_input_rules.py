@@ -1,0 +1,76 @@
+"""The two rules for outside input: ``require_int`` and ``require_object``."""
+
+import pytest
+
+from pseudoquotients import (
+    AffineLattice,
+    AffineLatticeMap,
+    DomainError,
+    DyadicStepMap,
+    DyadicStepValue,
+    PowerAffineMap,
+    RootValue,
+    TowerMap,
+    TowerPoint,
+)
+from pseudoquotients.core import require_int, require_object
+
+# every constructor that takes integers, with one integer field left open
+CONSTRUCTORS = {
+    "PowerAffineMap.multiplier": lambda v: PowerAffineMap(v, 1),
+    "PowerAffineMap.exponent": lambda v: PowerAffineMap(1, v),
+    "RootValue.index": lambda v: RootValue(2, v),
+    "AffineLatticeMap.matrix": lambda v: AffineLatticeMap(((v,),), (0,)),
+    "AffineLatticeMap.offset": lambda v: AffineLatticeMap(((1,),), (v,)),
+    "AffineLattice.dim": lambda v: AffineLattice(v),
+    "DyadicStepMap.shift": lambda v: DyadicStepMap(v, 0),
+    "DyadicStepMap.halvings": lambda v: DyadicStepMap(0, v),
+    "DyadicStepValue.scale": lambda v: DyadicStepValue(v, 0, ()),
+    "DyadicStepValue.start": lambda v: DyadicStepValue(0, v, ()),
+    "TowerPoint.level": lambda v: TowerPoint(v, 0),
+    "TowerPoint.payload": lambda v: TowerPoint(1, v),
+    "TowerMap.level": lambda v: TowerMap(((v, 1),), 0),
+    "TowerMap.exponent": lambda v: TowerMap(((1, v),), 0),
+    "TowerMap.shift": lambda v: TowerMap((), v),
+}
+
+
+@pytest.mark.parametrize("field", CONSTRUCTORS)
+def test_constructors_take_an_integer_of_one(field):
+    CONSTRUCTORS[field](1)  # accepted
+
+
+@pytest.mark.parametrize("bad", [2.0, "1", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize("field", CONSTRUCTORS)
+def test_constructors_reject_non_integers(field, bad):
+    with pytest.raises(DomainError, match="must be an integer"):
+        CONSTRUCTORS[field](bad)
+
+
+def test_affine_entries_are_not_truncated():
+    with pytest.raises(DomainError, match="matrix entry must be an integer, got 2.7"):
+        AffineLatticeMap(((2.7,),), (0,))
+
+
+def test_require_int_lower_bound():
+    assert require_int(0, "n", 0) == 0
+    with pytest.raises(DomainError, match=r"^n must be >= 1, got 0$"):
+        require_int(0, "n", 1)
+
+
+def test_require_object_returns_the_object_itself():
+    value = {"a": 1}
+    assert require_object(value, "key", ("a", "b")) is value
+    assert require_object({}, "key", ()) == {}
+
+
+@pytest.mark.parametrize("value", [[1], "a", 3, None, 2.5, True])
+def test_require_object_rejects_non_objects(value):
+    with pytest.raises(DomainError, match="^expected a JSON object of widget keys, got "):
+        require_object(value, "widget key", ("a",))
+
+
+def test_require_object_names_the_first_unknown_key():
+    with pytest.raises(DomainError) as caught:
+        require_object({"a": 1, "z": 2, "y": 3}, "widget key", ("a", "b"))
+    assert str(caught.value) == "unknown widget key 'z'; expected one of a, b"

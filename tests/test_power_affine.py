@@ -108,6 +108,43 @@ def test_root_value_inequality():
     assert RootValue(Fraction(4), 2) != RootValue(Fraction(4), 3)
 
 
+def cross_power_equal(a: RootValue, b: RootValue) -> bool:
+    """The defining rule ``q1**n2 == q2**n1``: the oracle for equality by reduced form."""
+    return a.radicand**b.index == b.radicand**a.index
+
+
+def test_equality_matches_the_cross_power_rule():
+    rng = random.Random(5150)
+
+    def draw() -> RootValue:
+        other = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        radicand = rng.choice((Fraction(0), Fraction(1), other))
+        return RootValue(radicand, rng.randint(1, 6))
+
+    equal_pairs = 0
+    for _ in range(3000):
+        a = draw()
+        if rng.random() < 0.5:  # an equal value in another representation, most of the time
+            power = rng.randint(1, 4)
+            b = RootValue(a.radicand**power, a.index * power)
+        else:
+            b = draw()
+        assert (a == b) == (b == a) == cross_power_equal(a, b)
+        if a == b:
+            equal_pairs += 1
+            assert hash(a) == hash(b)
+    assert 1500 < equal_pairs < 3000
+
+
+def test_equality_of_huge_indices_is_fast():
+    # the cross-power rule would raise 2 to the power 10^9 + 1
+    start = time.perf_counter()
+    assert RootValue(2, 10**9) != RootValue(3, 10**9 + 1)
+    assert RootValue(4, 2 * 10**9) == RootValue(2, 10**9)
+    assert RootValue(0, 10**9) == RootValue(0, 7) != RootValue(1, 10**9)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_root_value_reduced_is_minimal():
     assert RootValue(Fraction(4), 2).reduced() == RootValue(Fraction(2), 1)
     assert RootValue(Fraction(4), 2).reduced().index == 1
