@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Collection, NamedTuple
 
 __all__ = [
@@ -69,6 +70,15 @@ def require_int(value: Any, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def require_rational(value: Any, what: str) -> Fraction:
+    """``value`` as a Fraction if it is an int (a bool is not) or a Fraction, else a DomainError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise DomainError(f"{what} must be an integer or a Fraction, got {value!r}")
+
+
 def require_object(value: Any, what: str, keys: Collection[str]) -> dict:
     """``value`` if it is a JSON object with no key outside ``keys``; ``what`` names one key."""
     if not isinstance(value, dict):
@@ -89,7 +99,9 @@ def bounded_power(base: int, k: int, what: str) -> int:
     the power, so no power that fits is refused.
     """
     if k * (abs(base).bit_length() - 1) > MAX_POWER_BITS:
-        raise DomainError(f"{what} {base}^{k} has over {MAX_POWER_BITS} bits")
+        # named by its size: the base may have more digits than int-to-str prints
+        bits = abs(base).bit_length()
+        raise DomainError(f"{what} b^{k} (b of {bits} bits) has over {MAX_POWER_BITS} bits")
     return base**k
 
 

@@ -14,6 +14,12 @@ shifted twice as far), so every word in them has the unique normal form
 multiply by ``(m1, n1) o (m2, n2) = (m1 + 2**n1 * m2, n1 + n2)`` and the
 uniqueness of the normal form gives right cancellation.
 
+A :class:`StepFunction` holds its coefficients as integer numerators over
+one common denominator in lowest terms.  So ``t^m d^n`` prepends ``m``
+zero numerators, repeats each numerator ``2**n`` times and multiplies the
+denominator by ``2**n``, cancelling their common power of two once; no
+``Fraction`` is built per cell, and interning a point hashes integers.
+
 Formal solutions live on finer dyadic grids and may extend left of 0:
 inverting ``t^m d^n`` on a function ``x`` yields
 ``xi(s) = 2**n * x(2**n * s + m)``, a step function on the grid of width
@@ -36,6 +42,7 @@ point lists its coefficients, ``[3,1/2]``.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -51,6 +58,7 @@ from ..core import (
     UsageError,
     bounded_power,
     require_int,
+    require_rational,
 )
 from ..syntax import parse_bracketed, parse_rational, word_letters
 
@@ -59,27 +67,45 @@ __all__ = ["MAX_CELLS", "DyadicStepMap", "DyadicSteps", "DyadicStepValue", "Step
 MAX_CELLS = 1 << 22  # the most cells an image under ``apply`` may have
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepFunction:
     """A finitely supported step function on ``[0, 1), [1, 2), ...``.
 
-    Coefficients are exact rationals; trailing zeros are trimmed so the
-    representation is unique.  The zero function has no coefficients.
+    Built from exact rational coefficients (ints or Fractions), and held
+    as integer ``numerators`` over one positive ``denominator`` in lowest
+    terms, with trailing zeros trimmed, so the representation is unique
+    and equal functions have equal fields.  The zero function has no
+    numerators and denominator 1.
     """
 
-    coefficients: tuple[Fraction, ...] = ()
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients=()):
+        coeffs = [require_rational(c, "a step coefficient") for c in coefficients]
         while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+            coeffs.pop()
+        # each prime power of the lcm divides some coefficient's own reduced
+        # denominator, so the scaled numerators share no factor with it
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._hold(tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+
+    def _hold(self, numerators: tuple[int, ...], denominator: int) -> StepFunction:
+        """Store ``numerators / denominator``, given trimmed and in lowest terms."""
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        return self
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The value on each unit cell, as Fractions."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def integral(self) -> Fraction:
-        return sum(self.coefficients, Fraction(0))
+        return Fraction(sum(self.numerators), self.denominator)
 
     def l1_norm(self) -> Fraction:
-        return sum((abs(c) for c in self.coefficients), Fraction(0))
+        return Fraction(sum(map(abs, self.numerators)), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -111,7 +137,7 @@ class DyadicStepValue:
 
     def __post_init__(self):
         scale, start = require_int(self.scale, "scale", 0), require_int(self.start, "start")
-        values = [v if type(v) is Fraction else Fraction(v) for v in self.values]
+        values = [require_rational(v, "a step value") for v in self.values]
         while values and values[-1] == 0:
             values.pop()
         while values and values[0] == 0:
@@ -162,14 +188,23 @@ class DyadicSteps(Instance):
     def apply(self, f, x):
         self._check_element(f)
         self._check_point(x)
-        if not x.coefficients:
+        if not x.numerators:
             return x  # the zero function, whatever f does to the grid
         blow = bounded_power(2, f.halvings, "refine factor")
-        if f.shift + len(x.coefficients) * blow > MAX_CELLS:
+        if f.shift + len(x.numerators) * blow > MAX_CELLS:
             raise DomainError(f"the image would have over {MAX_CELLS} cells")
-        # each coefficient is halved once; its 2^n copies share that Fraction
-        refined = chain.from_iterable(repeat(c / blow, blow) for c in x.coefficients)
-        return StepFunction((Fraction(0),) * f.shift + tuple(refined))
+        # halving every cell 2^n-fold divides the denominator once; the common
+        # power of two is cancelled first, so the result is in lowest terms
+        common = math.gcd(blow, *x.numerators)
+        cells = x.numerators if common == 1 else tuple(n // common for n in x.numerators)
+        # the 2^n copies in one C-level pass: zip 2^n references to the cells
+        # when there are at least as many cells, else one repeat per cell
+        if blow <= len(cells):
+            copies = zip(*repeat(cells, blow))
+        else:
+            copies = map(repeat, cells, repeat(blow))
+        numerators = (0,) * f.shift + tuple(chain.from_iterable(copies))
+        return object.__new__(StepFunction)._hold(numerators, x.denominator * (blow // common))
 
     def ore_complete(self, f, g):
         self._check_element(f)
@@ -196,7 +231,7 @@ class DyadicSteps(Instance):
         return DyadicStepValue(
             scale=f.halvings,
             start=-f.shift,
-            values=tuple(c * blow for c in x.coefficients),
+            values=tuple(Fraction(n * blow, x.denominator) for n in x.numerators),
         )
 
     def integral(self, value) -> Fraction:

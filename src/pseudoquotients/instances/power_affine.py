@@ -32,6 +32,7 @@ from ..core import (
     UsageError,
     bounded_power,
     require_int,
+    require_rational,
 )
 from ..syntax import ParseError, parse_int
 
@@ -89,7 +90,7 @@ class RootValue:
     index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "radicand", Fraction(self.radicand))
+        object.__setattr__(self, "radicand", require_rational(self.radicand, "radicand"))
         require_int(self.index, "root index", 1)
         if self.radicand < 0:
             raise DomainError("radicand must be nonnegative")

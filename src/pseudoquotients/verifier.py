@@ -31,7 +31,11 @@ result reports.  A search therefore costs one generator call per distinct
 (generator, point) pair and one table lookup per base point of each
 distinct action, not words x letters x samples.  For cancellation the
 base is the samples followed by their images under ``g``, one base for
-each distinct action of ``g``.  Nothing is kept between calls.
+each distinct action of ``g``.  Each base also remembers up to which
+word length no two actions share their part on ``g``'s images while
+differing on the samples; pairs of lengths within it hold no
+counterexample and are skipped without a scan.  Nothing is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -184,6 +188,7 @@ class _Search:
         self._points: list = []
         self._layers: dict[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]] = {}
         self._by_tail: dict[tuple[tuple[int, ...], int], dict] = {}
+        self._heads: dict[tuple[int, ...], tuple[int, dict | None]] = {}
         self.samples = tuple(self._intern(p) for p in presentation.sample_points)
 
     def _intern(self, point) -> int:
@@ -230,15 +235,38 @@ class _Search:
             layers.append(layer)
         return layers[length]
 
+    def _split_free(self, base: tuple[int, ...], n: int, length: int) -> bool:
+        """Whether no two words of lengths ``1..length`` give two heads to one tail on ``base``.
+
+        A word's head is its action on ``base[:n]`` and its tail its action
+        on ``base[n:]``.  Per base, the longest split-free run of lengths is
+        kept with each tail's one head, and grows only over layers already
+        built.
+        """
+        free, heads = self._heads.get(base, (0, {}))
+        layers = self._layers[base]
+        while free < length and heads is not None:
+            for action in layers[free + 1]:
+                if heads.setdefault(action[n:], action[:n]) != action[:n]:
+                    heads = None  # a split among the lengths up to free + 1
+                    break
+            else:
+                free += 1
+        self._heads[base] = free, heads
+        return free >= length
+
     def first_split(self, base: tuple[int, ...], n: int, len1: int, len2: int):
         """The first ``(f1, f2)`` of lengths ``len1, len2`` agreeing only on ``base[n:]``."""
         second = self.layer(base, len2)
+        first = self.layer(base, len1)
+        if self._split_free(base, n, max(len1, len2)):
+            return None
         by_tail = self._by_tail.get((base, len2))
         if by_tail is None:
             by_tail = self._by_tail[base, len2] = {}
             for action in second:
                 by_tail.setdefault(action[n:], []).append(action)
-        for action, f1 in self.layer(base, len1).items():
+        for action, f1 in first.items():
             for other in by_tail.get(action[n:], ()):
                 if other[:n] != action[:n]:
                     return f1, second[other]
@@ -423,6 +451,13 @@ def _preset(name: str, max_depth: int | None, config: dict) -> Presentation:
     )
 
 
+def _config_text(value: Any, what: str) -> str:
+    """``value`` if it is a JSON string, else a DomainError (so ``1`` and ``"1"`` stay apart)."""
+    if not isinstance(value, str):
+        raise DomainError(f"{what} must be a JSON string, got {value!r}")
+    return value
+
+
 def _int_affine(rule: dict) -> Callable[[int], int]:
     mul = require_int(rule.get("mul", 1), "mul")
     add = require_int(rule.get("add", 0), "add")
@@ -433,14 +468,15 @@ def _int_generator(entry: Any) -> tuple[str, Callable[[int], int]]:
     entry = require_object(entry, "generator key", ("name", "mul", "add", "even", "odd"))
     if "name" not in entry:
         raise DomainError("each generator needs a 'name'")
+    name = _config_text(entry["name"], "generator name")
     if "even" in entry or "odd" in entry:
         require_object(entry, "parity generator key", ("name", "even", "odd"))
         if "even" not in entry or "odd" not in entry:
             raise DomainError("a parity generator needs both 'even' and 'odd' rules")
         even = _int_affine(require_object(entry["even"], "parity rule key", ("mul", "add")))
         odd = _int_affine(require_object(entry["odd"], "parity rule key", ("mul", "add")))
-        return str(entry["name"]), lambda x: even(x) if x % 2 == 0 else odd(x)
-    return str(entry["name"]), _int_affine(entry)
+        return name, lambda x: even(x) if x % 2 == 0 else odd(x)
+    return name, _int_affine(entry)
 
 
 def presentation_from_config(config: Any) -> Presentation:
@@ -460,8 +496,9 @@ def presentation_from_config(config: Any) -> Presentation:
     ``x -> x + s`` and level-``n`` squeeze ``x -> a*x + c*n + e``, where
     ``c = s*(1 - a)`` is derived because the squares commute exactly for
     that value; a given ``"squeeze_level_coeff"`` must equal it, and
-    ``a = 0`` is rejected.  Every number must be a JSON integer and every
-    level a JSON object with only the keys shown; anything else is a domain error.
+    ``a = 0`` is rejected.  Every number must be a JSON integer, every name
+    and label a JSON string, and every level a JSON object with only the
+    keys shown; anything else is a domain error.
     """
     config = require_object(config, "config key", _CONFIG_KEYS)
     depth = config.get("max_depth")
@@ -481,5 +518,5 @@ def presentation_from_config(config: Any) -> Presentation:
         generators=tuple(generators),
         sample_points=tuple(require_int(s, "each sample") for s in samples),
         max_depth=depth if depth is not None else 5,
-        label=str(config.get("label", "custom")),
+        label=_config_text(config.get("label", "custom"), "label"),
     )

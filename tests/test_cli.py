@@ -237,7 +237,7 @@ def test_power_affine_powers_beyond_the_size_limit_exit_1(capsys):
     )
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    assert err == "domain error: multiplier 2^1000000000000 has over 1048576 bits\n"
+    assert err == "domain error: multiplier b^1000000000000 (b of 2 bits) has over 1048576 bits\n"
 
 
 def test_misspelled_tower_rule_exits_1(capsys, tmp_path):
@@ -311,6 +311,16 @@ BAD_CONFIGS = {
         _with_generator({"name": "g", "even": {}, "odd": [1]}),
         "expected a JSON object of parity rule keys, got list",
     ),
+    # names and labels used to pass through str(): 1 and "1" collided as duplicates
+    "generator-name-list": (
+        _with_generator({"name": ["x"], "add": 1}),
+        "generator name must be a JSON string, got ['x']",
+    ),
+    "generator-name-number": (
+        _int_config(generators=[{"name": 1, "mul": 2}, {"name": "1", "add": 1}]),
+        "generator name must be a JSON string, got 1\n",
+    ),
+    "label-object": (_int_config(label={"a": 1}), "label must be a JSON string, got {'a': 1}\n"),
     "tower-rule-key": (
         {"preset": "tower", "tower": {"squeeze": 3}}, "unknown tower rule 'squeeze'"
     ),

@@ -1,5 +1,6 @@
 """Shift/refine instance: letter-by-letter oracles against the normal forms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -199,13 +200,33 @@ def test_powers_of_two_beyond_the_size_limit_are_domain_errors():
 def test_apply_halves_each_coefficient_once():
     out = dy.apply(DyadicStepMap(1, 3), StepFunction((Fraction(1), Fraction(3))))
     assert out.coefficients == (0,) + (Fraction(1, 8),) * 8 + (Fraction(3, 8),) * 8
-    # the copies of one coefficient share one halved Fraction
-    assert len({id(c) for c in out.coefficients[1:]}) == 2
+    # integers over one denominator, in lowest terms
+    assert (out.numerators, out.denominator) == ((0,) + (1,) * 8 + (3,) * 8, 8)
+    # a power of two shared by every numerator cancels against the refinement
+    out = dy.apply(DyadicStepMap(0, 2), StepFunction((2, Fraction(4, 3))))
+    assert out.coefficients == (Fraction(1, 2),) * 4 + (Fraction(1, 3),) * 4
+    assert (out.numerators, out.denominator) == ((3,) * 4 + (2,) * 4, 6)
 
 
 def test_given_fractions_are_kept_and_other_numbers_converted():
     half = Fraction(1, 2)
-    assert StepFunction((half, 3)).coefficients[0] is half
-    assert type(StepFunction((half, 3)).coefficients[1]) is Fraction
+    assert StepFunction((half, 3)).coefficients == (half, Fraction(3))
+    assert all(type(c) is Fraction for c in StepFunction((half, 3)).coefficients)
+    assert (StepFunction((half, 3)).numerators, StepFunction((half, 3)).denominator) == ((1, 6), 2)
+    assert (StepFunction(()).numerators, StepFunction(()).denominator) == ((), 1)
     assert DyadicStepValue(1, 0, (half,)).values[0] is half
     assert type(DyadicStepValue(0, 0, (3,)).values[0]) is Fraction
+
+
+def test_points_are_integers_over_one_denominator_in_lowest_terms(rng):
+    for _ in range(300):
+        f, x = dy.random_element(rng), dy.random_point(rng)
+        for point in (x, dy.apply(f, x)):
+            assert point.denominator > 0
+            assert math.gcd(point.denominator, *point.numerators) == 1
+            assert not point.numerators or point.numerators[-1] != 0
+            # equal functions have equal fields, whichever way they were built
+            rebuilt = StepFunction(point.coefficients)
+            assert rebuilt.numerators == point.numerators
+            assert rebuilt.denominator == point.denominator
+            assert hash(rebuilt) == hash(point)

@@ -1,4 +1,6 @@
-"""The two rules for outside input: ``require_int`` and ``require_object``."""
+"""The rules for outside input: ``require_int``, ``require_rational`` and ``require_object``."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -10,10 +12,11 @@ from pseudoquotients import (
     DyadicStepValue,
     PowerAffineMap,
     RootValue,
+    StepFunction,
     TowerMap,
     TowerPoint,
 )
-from pseudoquotients.core import require_int, require_object
+from pseudoquotients.core import bounded_power, require_int, require_object
 
 # every constructor that takes integers, with one integer field left open
 CONSTRUCTORS = {
@@ -56,6 +59,37 @@ def test_require_int_lower_bound():
     assert require_int(0, "n", 0) == 0
     with pytest.raises(DomainError, match=r"^n must be >= 1, got 0$"):
         require_int(0, "n", 1)
+
+
+# every constructor that takes rationals, with one rational field left open
+RATIONAL_CONSTRUCTORS = {
+    "StepFunction.coefficients": lambda v: StepFunction((v,)),
+    "DyadicStepValue.values": lambda v: DyadicStepValue(0, 0, (v,)),
+    "RootValue.radicand": lambda v: RootValue(v, 1),
+}
+
+
+@pytest.mark.parametrize("good", [3, Fraction(1, 2)], ids=["int", "Fraction"])
+@pytest.mark.parametrize("field", RATIONAL_CONSTRUCTORS)
+def test_constructors_take_an_int_or_a_fraction(field, good):
+    RATIONAL_CONSTRUCTORS[field](good)  # accepted
+
+
+@pytest.mark.parametrize(
+    "bad", [0.1, "1/2", "4", True, None],
+    ids=["float", "fraction-string", "int-string", "bool", "none"],
+)
+@pytest.mark.parametrize("field", RATIONAL_CONSTRUCTORS)
+def test_constructors_reject_non_rationals(field, bad):
+    with pytest.raises(DomainError, match="must be an integer or a Fraction"):
+        RATIONAL_CONSTRUCTORS[field](bad)
+
+
+def test_bounded_power_names_a_huge_base_by_its_size():
+    # 7**6000 has more digits than int-to-str prints, so the message must not print it
+    message = r"^multiplier b\^1000000 \(b of 16845 bits\) has over 1048576 bits$"
+    with pytest.raises(DomainError, match=message):
+        bounded_power(7**6000, 10**6, "multiplier")
 
 
 def test_require_object_returns_the_object_itself():

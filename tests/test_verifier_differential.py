@@ -3,7 +3,8 @@
 The oracle below is the word-by-word search the verifier used before it
 ran over interned points and word actions, copied unchanged.  Whole
 reports must agree on seeded random integer-domain presentations, some of
-which fail injectivity or right cancellation.
+which fail injectivity or right cancellation, and on the dyadic-steps
+preset at depths 1-4.
 """
 
 import itertools
@@ -12,7 +13,7 @@ from typing import Any
 
 import pytest
 
-from pseudoquotients import UsageError, presentation_from_config, verifier
+from pseudoquotients import UsageError, preset, presentation_from_config, verifier
 from pseudoquotients.verifier import (
     CancellationResult,
     InjectivityResult,
@@ -231,6 +232,15 @@ def test_reports_match_the_word_walking_search(seed):
     rng = random.Random(seed)
     f, g = (tuple(rng.choices(presentation.names, k=rng.randint(1, 3))) for _ in range(2))
     assert verifier.search_ore_witness(presentation, f, g) == search_ore_witness(presentation, f, g)
+
+
+@pytest.mark.parametrize("depth", range(1, 5))
+def test_dyadic_preset_matches_the_word_walking_search(depth):
+    # step functions held as integers over one denominator, against the same oracle
+    presentation = preset("dyadic-steps", depth)
+    report = verifier.verify(presentation)
+    assert report.to_json() == oracle_verify(presentation).to_json()
+    assert report.validated
 
 
 def test_the_cases_cover_both_outcomes():

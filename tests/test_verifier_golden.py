@@ -1,7 +1,7 @@
 """Golden verifier reports: ``VerifyReport.to_json()`` for every preset and depth.
 
 ``golden_verify.json`` holds one report per case in :data:`CASES`: every
-preset at depths 3-6 (dyadic-steps at 3-5) and
+preset at depths 3-6 and
 ``fixtures/cancellation_fail.json`` at depths 2-6.  Re-record it with
 
     PYTHONPATH=<src of the commit to record> python tests/test_verifier_golden.py
@@ -23,7 +23,7 @@ DEPTHS = {
     "power-affine": range(3, 7),
     "affine-lattice": range(3, 7),
     "affine-lattice-2d": range(3, 7),
-    "dyadic-steps": range(3, 6),
+    "dyadic-steps": range(3, 7),
     "tower": range(3, 7),
     "cancellation-fail": range(2, 7),
 }
