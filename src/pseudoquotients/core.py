@@ -21,10 +21,10 @@ completion of ``X``:
 This module implements that calculus once, generically.  A concrete
 :class:`Instance` supplies the semigroup operation, the action, decidable
 element equality (a faithful normal form), a deterministic Ore witness,
-and a canonical form for classes, and describes its own text syntax,
-JSON shape and verifier presets; equivalence testing, the embedding,
-extensions, and the fraction group are derived here and shared by every
-instance.
+and a canonical form for classes (optionally also a normal form for
+fractions), and describes its own text syntax, JSON shape and verifier
+presets; equivalence testing, the embedding, extensions, and the
+fraction group are derived here and shared by every instance.
 
 All values are immutable and every operation is a pure function of its
 inputs, so values can be shared freely across threads.
@@ -60,13 +60,28 @@ class DomainError(ValueError):
     """A value lies outside an instance's domain (zero exponent, singular matrix, ...)."""
 
 
+MAX_SHOWN_BITS = 256  # longer integers are named by their size in messages
+
+
+def int_text(value: int) -> str:
+    """``value`` in decimal for a message, or its sign and bit length if it is long.
+
+    CPython refuses to print an int of over 4,300 digits, so a message that
+    formats an input integer must not do so.
+    """
+    bits = abs(value).bit_length()
+    if bits <= MAX_SHOWN_BITS:
+        return str(value)
+    return f"{'a negative' if value < 0 else 'an'} integer of {bits} bits"
+
+
 def require_int(value: Any, what: str, minimum: int | None = None) -> int:
     """``value`` if it is an integer (a bool is not) of at least ``minimum``, else a DomainError."""
     # constructors call this on every value: an exact int passes the cheap first test
     if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise DomainError(f"{what} must be >= {minimum}, got {value}")
+        raise DomainError(f"{what} must be >= {minimum}, got {int_text(value)}")
     return value
 
 
@@ -199,6 +214,17 @@ class Instance(ABC):
     def random_point(self, rng: random.Random) -> Any:
         """Draw a small random point of X."""
 
+    def reduce_fraction(self, frac: GroupFraction) -> GroupFraction:
+        """Return a fraction denoting the same bijection as ``frac``; by default ``frac``.
+
+        :meth:`frac_compose` returns its result through this hook.  An
+        instance may map each fraction to a normal form: a representative
+        that two fractions share exactly when they denote the same
+        bijection, so that chains of compositions stay small and
+        :meth:`frac_equal` decides most pairs by structural comparison.
+        """
+        return frac
+
     # --- text syntax, JSON shape and verifier presets -------------------
 
     @abstractmethod
@@ -312,12 +338,15 @@ class Instance(ABC):
         ``f1^-1 g1 o f2^-1 g2`` is rewritten into a single left fraction
         by picking ``(h, k)`` with ``h o g1 == k o f2``, giving
         ``(h f1)^-1 o (k g2)``; closure under composition is exactly what
-        the Ore condition buys.
+        the Ore condition buys.  The result passes through
+        :meth:`reduce_fraction`.
         """
         w = self.ore_complete(second.den, first.num)
-        return GroupFraction(
-            self.compose(w.f_prime, first.den),
-            self.compose(w.g_prime, second.num),
+        return self.reduce_fraction(
+            GroupFraction(
+                self.compose(w.f_prime, first.den),
+                self.compose(w.g_prime, second.num),
+            )
         )
 
     def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
@@ -328,6 +357,8 @@ class Instance(ABC):
         ``v o second.num`` as elements; completeness rests on right
         cancellation and on element equality being faithful.
         """
+        if first == second:  # pure optimization, observably equivalent
+            return True
         w = self.ore_complete(second.den, first.den)
         return self.compose(w.f_prime, first.num) == self.compose(w.g_prime, second.num)
 

@@ -10,8 +10,15 @@ maps
 
 satisfy ``f' g == g' f``; writing them with integer adjugates rather than
 rational inverses makes every witness entry an integer by construction.
-Classes are identified with rational vectors: the class of ``(x, (M, b))``
-is the exact solution ``M^-1 (x - b)`` in ``Q^n``.
+One fraction-free Gauss-Jordan pass gives a determinant and its adjugate
+together.  Classes are identified with rational vectors: the class of
+``(x, (M, b))`` is the exact solution ``M^-1 (x - b)`` in ``Q^n``.
+
+A fraction ``(A, a)^-1 o (B, b)`` is the rational affine map
+``x -> A^-1 (B x + b - a)``.  Its normal form writes that map over the
+least common denominator ``D > 0`` of its entries, as
+``(D I, 0)^-1 o (N, v)`` with ``gcd(D, N, v) == 1``; composed fractions are
+kept in this form, so a chain of compositions stays as small as its result.
 
 Text syntax: an element ``aff([[2,0],[0,1]],[1,0])`` (matrix rows, then
 the offset vector), a point ``[5,0]``.
@@ -19,17 +26,22 @@ the offset vector), a point ``[5,0]``.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 from ..core import (
     DomainError,
+    GroupFraction,
     Instance,
     OreWitness,
     Preset,
     Pseudoquotient,
     UsageError,
+    int_text,
     require_int,
 )
 from ..syntax import ParseError, parse_bracketed, parse_int, split_top_level, unwrap
@@ -70,35 +82,46 @@ def determinant(matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _minor(matrix, row: int, col: int):
-    return tuple(
-        tuple(entry for j, entry in enumerate(r) if j != col)
-        for i, r in enumerate(matrix)
-        if i != row
-    )
+def det_adjugate(matrix) -> tuple[int, Matrix]:
+    """``(det M, adj M)`` by one fraction-free Gauss-Jordan pass on ``[M | I]``.
+
+    Each step eliminates the pivot column from every other row and divides
+    by the previous pivot, which is exact (Bareiss 1968); the pass ends at
+    ``[d I | d M^-1]`` with ``d`` the determinant of the row-swapped
+    matrix.  A singular matrix has no such end and raises DomainError.
+    """
+    n = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if swap is None:
+                raise DomainError("matrix must have nonzero determinant")
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = row[k]
+                rows[i] = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * e for e in row[n:]) for row in rows)
 
 
 def adjugate(matrix) -> Matrix:
-    """Integer adjugate: ``adj(M) @ M == M @ adj(M) == det(M) * I``."""
-    n = len(matrix)
-    if n == 1:
-        return ((1,),)
-    return tuple(
-        tuple((-1) ** (i + j) * determinant(_minor(matrix, j, i)) for j in range(n))
-        for i in range(n)
-    )
+    """Integer adjugate: ``adj(M) @ M == M @ adj(M) == det(M) * I``; M nonsingular."""
+    return det_adjugate(matrix)[1]
 
 
 def mat_mul(a, b) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in a)
 
 
 def mat_vec(a, v) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_scale(a, c: int) -> Matrix:
@@ -129,8 +152,16 @@ class AffineLatticeMap:
     offset: Vector
 
     def __post_init__(self):
-        matrix = tuple(tuple(require_int(e, "matrix entry") for e in row) for row in self.matrix)
-        offset = tuple(require_int(e, "offset entry") for e in self.offset)
+        matrix = tuple(map(tuple, self.matrix))
+        offset = tuple(self.offset)
+        # every composition builds a map: an exact int passes the cheap test
+        for row in matrix:
+            for e in row:
+                if type(e) is not int:
+                    require_int(e, "matrix entry")
+        for e in offset:
+            if type(e) is not int:
+                require_int(e, "offset entry")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
         n = len(matrix)
@@ -166,8 +197,11 @@ class AffineLattice(Instance):
         return f
 
     def _check_point(self, x) -> Vector:
-        if len(super()._check_point(x)) != self.dim or not all(isinstance(c, int) for c in x):
-            raise UsageError(f"expected an integer vector of length {self.dim}, got {x!r}")
+        if len(super()._check_point(x)) != self.dim or not all(type(c) is int for c in x):
+            # repr(x), except that long integers are named by their size
+            shown = ", ".join(int_text(c) if type(c) is int else repr(c) for c in x)
+            shown = f"({shown},)" if len(x) == 1 else f"({shown})"
+            raise UsageError(f"expected an integer vector of length {self.dim}, got {shown}")
         return x
 
     def compose(self, f, g):
@@ -185,19 +219,45 @@ class AffineLattice(Instance):
     def ore_complete(self, f, g):
         self._check_element(f)
         self._check_element(g)
-        m1, m2 = determinant(f.matrix), determinant(g.matrix)
-        adj1, adj2 = adjugate(f.matrix), adjugate(g.matrix)
+        m1, adj1 = det_adjugate(f.matrix)
+        m2, adj2 = det_adjugate(g.matrix)
         # m1*m2*M2^-1 == m1*adj(M2) and m1*m2*M1^-1 == m2*adj(M1): all integral
-        f_prime = AffineLatticeMap(mat_scale(adj2, m1), mat_vec(mat_scale(adj1, m2), f.offset))
-        g_prime = AffineLatticeMap(mat_scale(adj1, m2), mat_vec(mat_scale(adj2, m1), g.offset))
-        return OreWitness(f_prime, g_prime)
+        f_offset = tuple(m2 * c for c in mat_vec(adj1, f.offset))
+        g_offset = tuple(m1 * c for c in mat_vec(adj2, g.offset))
+        return OreWitness(
+            AffineLatticeMap(mat_scale(adj2, m1), f_offset),
+            AffineLatticeMap(mat_scale(adj1, m2), g_offset),
+        )
+
+    def reduce_fraction(self, frac: GroupFraction) -> GroupFraction:
+        """The lowest-terms fraction ``(D I, 0)^-1 o (N, v)`` of the map ``x -> (N x + v) / D``.
+
+        ``den^-1 o num`` is the rational affine map ``x -> A^-1 (B x + b - a)``
+        for ``den = (A, a)`` and ``num = (B, b)``; over the least common
+        denominator ``D > 0`` of its entries it is unique, so two fractions
+        denote one bijection exactly when their reductions are equal.
+        """
+        den = self._check_element(frac.den)
+        num = self._check_element(frac.num)
+        det, adj = det_adjugate(den.matrix)
+        matrix = mat_mul(adj, num.matrix)
+        offset = mat_vec(adj, tuple(b - a for b, a in zip(num.offset, den.offset)))
+        g = math.gcd(det, *chain.from_iterable(matrix), *offset)
+        if det < 0:
+            g = -g
+        return GroupFraction(
+            AffineLatticeMap(mat_scale(identity_matrix(self.dim), det // g), (0,) * self.dim),
+            AffineLatticeMap(
+                tuple(tuple(e // g for e in row) for row in matrix), tuple(c // g for c in offset)
+            ),
+        )
 
     def canonical_value(self, p: Pseudoquotient) -> tuple[Fraction, ...]:
         """The exact rational solution ``M^-1 (x - b)`` of ``M xi + b = x``."""
         f = self._check_element(p.denominator)
         x = self._check_point(p.numerator)
-        det = determinant(f.matrix)
-        numerators = mat_vec(adjugate(f.matrix), tuple(a - b for a, b in zip(x, f.offset)))
+        det, adj = det_adjugate(f.matrix)
+        numerators = mat_vec(adj, tuple(a - b for a, b in zip(x, f.offset)))
         return tuple(Fraction(c, det) for c in numerators)
 
     @property

@@ -31,6 +31,7 @@ from ..core import (
     Pseudoquotient,
     UsageError,
     bounded_power,
+    int_text,
     require_int,
     require_rational,
 )
@@ -134,8 +135,10 @@ class PowerAffine(Instance):
     point_type = int
 
     def _check_point(self, x) -> int:
-        if super()._check_point(x) < 1:
-            raise UsageError(f"point must be a positive integer, got {x}")
+        if type(x) is not int:  # a bool passes isinstance(x, int) but is not a point
+            raise UsageError(f"expected int, got {type(x).__name__}")
+        if x < 1:
+            raise UsageError(f"point must be a positive integer, got {int_text(x)}")
         return x
 
     def compose(self, f, g):

@@ -315,3 +315,30 @@ def test_group_right_cancellation_via_roundtrip(instance, rng):
         assert instance.frac_equal(
             instance.frac_compose(instance.frac_compose(a, c), frac_inverse(c)), a
         )
+
+
+def ore_equal(instance, first, second):
+    """The Ore rule of ``frac_equal`` without its structural fast path."""
+    w = instance.ore_complete(second.den, first.den)
+    return instance.compose(w.f_prime, first.num) == instance.compose(w.g_prime, second.num)
+
+
+def test_reduce_fraction_keeps_the_bijection(instance, rng):
+    # random fractions, and chains of up to four: reduced by frac_compose
+    # where the instance reduces, so reduce_fraction meets its own output
+    for _ in range(TRIALS // 3):
+        frac = instance.random_fraction(rng)
+        for _ in range(4):
+            reduced = instance.reduce_fraction(frac)
+            assert ore_equal(instance, reduced, frac) and ore_equal(instance, frac, reduced)
+            assert instance.reduce_fraction(reduced) == reduced
+            frac = instance.frac_compose(frac, instance.random_fraction(rng))
+
+
+def test_frac_equal_agrees_with_the_ore_rule(instance, rng):
+    for _ in range(TRIALS // 3):
+        f1 = instance.random_fraction(rng)
+        padding = instance.random_element(rng)
+        same = instance.frac_compose(GroupFraction(padding, padding), f1)
+        for f2 in (f1, same, instance.random_fraction(rng)):
+            assert instance.frac_equal(f1, f2) == ore_equal(instance, f1, f2)

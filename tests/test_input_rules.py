@@ -10,13 +10,23 @@ from pseudoquotients import (
     DomainError,
     DyadicStepMap,
     DyadicStepValue,
+    PowerAffine,
     PowerAffineMap,
     RootValue,
     StepFunction,
     TowerMap,
     TowerPoint,
+    UsageError,
 )
-from pseudoquotients.core import bounded_power, require_int, require_object
+from pseudoquotients.core import (
+    MAX_SHOWN_BITS,
+    bounded_power,
+    int_text,
+    require_int,
+    require_object,
+)
+
+HUGE = 10**5000  # more digits than CPython's int-to-str prints; 16610 bits
 
 # every constructor that takes integers, with one integer field left open
 CONSTRUCTORS = {
@@ -59,6 +69,44 @@ def test_require_int_lower_bound():
     assert require_int(0, "n", 0) == 0
     with pytest.raises(DomainError, match=r"^n must be >= 1, got 0$"):
         require_int(0, "n", 1)
+
+
+def test_require_int_names_a_huge_value_by_its_size():
+    message = r"^shift exponent must be >= 0, got a negative integer of 16610 bits$"
+    with pytest.raises(DomainError, match=message):
+        DyadicStepMap(-HUGE, 0)
+
+
+def test_int_text_prints_integers_up_to_the_limit():
+    for value in (0, 7, -7, 2**MAX_SHOWN_BITS - 1, -(2**MAX_SHOWN_BITS - 1)):
+        assert int_text(value) == str(value)
+    assert int_text(2**MAX_SHOWN_BITS) == f"an integer of {MAX_SHOWN_BITS + 1} bits"
+    assert int_text(-HUGE) == "a negative integer of 16610 bits"
+
+
+def test_power_affine_points_are_positive_ints():
+    pa, f = PowerAffine(), PowerAffineMap(2, 1)
+    assert pa.apply(f, 1) == 2
+    with pytest.raises(UsageError, match="^expected int, got bool$"):
+        pa.apply(f, True)
+    with pytest.raises(UsageError, match="^point must be a positive integer, got 0$"):
+        pa.apply(f, 0)
+    message = "^point must be a positive integer, got a negative integer of 16610 bits$"
+    with pytest.raises(UsageError, match=message):
+        pa.apply(f, -HUGE)
+
+
+def test_affine_points_are_int_vectors():
+    af = AffineLattice(2)
+    e = af.designated_element
+    assert af.apply(e, (1, 0)) == (1, 0)
+    message = r"^expected an integer vector of length 2, got \(True, False\)$"
+    with pytest.raises(UsageError, match=message):
+        af.apply(e, (True, False))
+    with pytest.raises(UsageError, match=r", got \(1,\)$"):
+        af.apply(e, (1,))
+    with pytest.raises(UsageError, match=r", got \(an integer of 16610 bits, 1, 2\)$"):
+        af.apply(e, (HUGE, 1, 2))
 
 
 # every constructor that takes rationals, with one rational field left open
