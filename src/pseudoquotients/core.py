@@ -75,11 +75,23 @@ def int_text(value: int) -> str:
     return f"{'a negative' if value < 0 else 'an'} integer of {bits} bits"
 
 
+def value_text(value: Any) -> str:
+    """``repr(value)`` for a message, naming long integers (a Fraction's too) by their size."""
+    if type(value) is int:
+        return int_text(value)
+    if isinstance(value, Fraction):
+        return f"Fraction({int_text(value.numerator)}, {int_text(value.denominator)})"
+    try:
+        return repr(value)
+    except ValueError:  # int-to-str refused a long integer inside the value
+        return f"a {type(value).__name__} too long to print"
+
+
 def require_int(value: Any, what: str, minimum: int | None = None) -> int:
     """``value`` if it is an integer (a bool is not) of at least ``minimum``, else a DomainError."""
     # constructors call this on every value: an exact int passes the cheap first test
     if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {value_text(value)}")
     if minimum is not None and value < minimum:
         raise DomainError(f"{what} must be >= {minimum}, got {int_text(value)}")
     return value
@@ -91,7 +103,7 @@ def require_rational(value: Any, what: str) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise DomainError(f"{what} must be an integer or a Fraction, got {value!r}")
+    raise DomainError(f"{what} must be an integer or a Fraction, got {value_text(value)}")
 
 
 def require_object(value: Any, what: str, keys: Collection[str]) -> dict:
@@ -171,6 +183,15 @@ class Instance(ABC):
     * the semigroup is right cancellative with respect to element
       equality, which is what makes the single-witness equivalence test
       and the fraction-equality rule below complete.
+
+    Values are validated once, where they enter.  An element's public
+    constructor checks every value from outside (parsed text, configs,
+    ``random_element``, user code).  The hooks ``compose``,
+    ``ore_complete``, ``reduce_fraction`` and ``designated_element`` build
+    their results through the element type's private ``_unchecked``
+    constructor instead, each under a named invariant of its algebra
+    that makes the result valid.  ``_check_element`` and ``_check_point``
+    still guard every hook's inputs.
     """
 
     name: str = "abstract"

@@ -41,8 +41,8 @@ from ..core import (
     Preset,
     Pseudoquotient,
     UsageError,
-    int_text,
     require_int,
+    value_text,
 )
 from ..syntax import ParseError, parse_bracketed, parse_int, split_top_level, unwrap
 
@@ -172,6 +172,14 @@ class AffineLatticeMap:
         if determinant(matrix) == 0:
             raise DomainError("matrix must have nonzero determinant")
 
+    @classmethod
+    def _unchecked(cls, matrix: Matrix, offset: Vector) -> AffineLatticeMap:
+        """Unvalidated: a square tuple matrix of nonzero determinant and a tuple offset."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "matrix", matrix)
+        object.__setattr__(f, "offset", offset)
+        return f
+
     @property
     def dim(self) -> int:
         return len(self.offset)
@@ -199,7 +207,7 @@ class AffineLattice(Instance):
     def _check_point(self, x) -> Vector:
         if len(super()._check_point(x)) != self.dim or not all(type(c) is int for c in x):
             # repr(x), except that long integers are named by their size
-            shown = ", ".join(int_text(c) if type(c) is int else repr(c) for c in x)
+            shown = ", ".join(map(value_text, x))
             shown = f"({shown},)" if len(x) == 1 else f"({shown})"
             raise UsageError(f"expected an integer vector of length {self.dim}, got {shown}")
         return x
@@ -207,7 +215,8 @@ class AffineLattice(Instance):
     def compose(self, f, g):
         self._check_element(f)
         self._check_element(g)
-        return AffineLatticeMap(
+        # det(AB) = det A * det B != 0
+        return AffineLatticeMap._unchecked(
             mat_mul(f.matrix, g.matrix), vec_add(mat_vec(f.matrix, g.offset), f.offset)
         )
 
@@ -224,9 +233,10 @@ class AffineLattice(Instance):
         # m1*m2*M2^-1 == m1*adj(M2) and m1*m2*M1^-1 == m2*adj(M1): all integral
         f_offset = tuple(m2 * c for c in mat_vec(adj1, f.offset))
         g_offset = tuple(m1 * c for c in mat_vec(adj2, g.offset))
+        # c * adj(M) is nonsingular for c != 0: det adj(M) = det(M)^(n-1)
         return OreWitness(
-            AffineLatticeMap(mat_scale(adj2, m1), f_offset),
-            AffineLatticeMap(mat_scale(adj1, m2), g_offset),
+            AffineLatticeMap._unchecked(mat_scale(adj2, m1), f_offset),
+            AffineLatticeMap._unchecked(mat_scale(adj1, m2), g_offset),
         )
 
     def reduce_fraction(self, frac: GroupFraction) -> GroupFraction:
@@ -245,9 +255,12 @@ class AffineLattice(Instance):
         g = math.gcd(det, *chain.from_iterable(matrix), *offset)
         if det < 0:
             g = -g
+        # D = det / g > 0, and det(N / g) != 0 since N = adj(A) B is nonsingular
         return GroupFraction(
-            AffineLatticeMap(mat_scale(identity_matrix(self.dim), det // g), (0,) * self.dim),
-            AffineLatticeMap(
+            AffineLatticeMap._unchecked(
+                mat_scale(identity_matrix(self.dim), det // g), (0,) * self.dim
+            ),
+            AffineLatticeMap._unchecked(
                 tuple(tuple(e // g for e in row) for row in matrix), tuple(c // g for c in offset)
             ),
         )
@@ -262,7 +275,8 @@ class AffineLattice(Instance):
 
     @property
     def designated_element(self) -> AffineLatticeMap:
-        return AffineLatticeMap(identity_matrix(self.dim), (0,) * self.dim)
+        # det I = 1
+        return AffineLatticeMap._unchecked(identity_matrix(self.dim), (0,) * self.dim)
 
     def random_element(self, rng: random.Random) -> AffineLatticeMap:
         while True:

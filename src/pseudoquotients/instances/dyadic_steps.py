@@ -119,6 +119,14 @@ class DyadicStepMap:
         require_int(self.shift, "shift exponent", 0)
         require_int(self.halvings, "refine exponent", 0)
 
+    @classmethod
+    def _unchecked(cls, shift: int, halvings: int) -> DyadicStepMap:
+        """Unvalidated: the map of integers ``shift >= 0`` and ``halvings >= 0``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "shift", shift)
+        object.__setattr__(f, "halvings", halvings)
+        return f
+
 
 @dataclass(frozen=True)
 class DyadicStepValue:
@@ -183,7 +191,8 @@ class DyadicSteps(Instance):
         self._check_element(g)
         # moving d^n1 past t^m2 doubles the shift n1 times
         lifted = bounded_power(2, f.halvings, "shift factor") * g.shift
-        return DyadicStepMap(f.shift + lifted, f.halvings + g.halvings)
+        # sums and products of integers >= 0 stay >= 0
+        return DyadicStepMap._unchecked(f.shift + lifted, f.halvings + g.halvings)
 
     def apply(self, f, x):
         self._check_element(f)
@@ -209,18 +218,20 @@ class DyadicSteps(Instance):
     def ore_complete(self, f, g):
         self._check_element(f)
         self._check_element(g)
+        # each gap is the larger halvings minus the smaller, and each shift a
+        # product of integers >= 0 or a max(0, ...): every field stays >= 0
         if f.halvings <= g.halvings:
             gap = g.halvings - f.halvings
             return OreWitness(
-                DyadicStepMap(bounded_power(2, gap, "shift factor") * f.shift, 0),
-                DyadicStepMap(g.shift, gap),
+                DyadicStepMap._unchecked(bounded_power(2, gap, "shift factor") * f.shift, 0),
+                DyadicStepMap._unchecked(g.shift, gap),
             )
         gap = f.halvings - g.halvings
         lifted = bounded_power(2, gap, "shift factor") * g.shift
         # smallest witness: cancel the common shift part
         return OreWitness(
-            DyadicStepMap(max(0, f.shift - lifted), gap),
-            DyadicStepMap(max(0, lifted - f.shift), 0),
+            DyadicStepMap._unchecked(max(0, f.shift - lifted), gap),
+            DyadicStepMap._unchecked(max(0, lifted - f.shift), 0),
         )
 
     def canonical_value(self, p: Pseudoquotient) -> DyadicStepValue:
@@ -252,7 +263,7 @@ class DyadicSteps(Instance):
 
     @property
     def designated_element(self) -> DyadicStepMap:
-        return DyadicStepMap(0, 0)
+        return DyadicStepMap._unchecked(0, 0)  # the empty word
 
     def random_element(self, rng: random.Random) -> DyadicStepMap:
         return DyadicStepMap(rng.randint(0, 3), rng.randint(0, 2))

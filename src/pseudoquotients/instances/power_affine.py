@@ -76,6 +76,14 @@ class PowerAffineMap:
         require_int(self.multiplier, "multiplier", 1)
         require_int(self.exponent, "exponent", 1)
 
+    @classmethod
+    def _unchecked(cls, multiplier: int, exponent: int) -> PowerAffineMap:
+        """Unvalidated: the map of integers ``multiplier >= 1`` and ``exponent >= 1``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "multiplier", multiplier)
+        object.__setattr__(f, "exponent", exponent)
+        return f
+
 
 @dataclass(frozen=True, eq=False)
 class RootValue:
@@ -145,7 +153,8 @@ class PowerAffine(Instance):
         self._check_element(f)
         self._check_element(g)
         # f(g(x)) = mf * (mg * x**ng)**nf = mf * mg**nf * x**(nf*ng)
-        return PowerAffineMap(
+        # products and powers of integers >= 1 stay >= 1
+        return PowerAffineMap._unchecked(
             f.multiplier * bounded_power(g.multiplier, f.exponent, "multiplier"),
             f.exponent * g.exponent,
         )
@@ -159,9 +168,14 @@ class PowerAffine(Instance):
         self._check_element(f)
         self._check_element(g)
         # (a^q, p) o (b, q) == (b^p, q) o (a, p) == (a^q b^p, p q)
+        # powers of integers >= 1 stay >= 1
         return OreWitness(
-            PowerAffineMap(bounded_power(f.multiplier, g.exponent, "multiplier"), f.exponent),
-            PowerAffineMap(bounded_power(g.multiplier, f.exponent, "multiplier"), g.exponent),
+            PowerAffineMap._unchecked(
+                bounded_power(f.multiplier, g.exponent, "multiplier"), f.exponent
+            ),
+            PowerAffineMap._unchecked(
+                bounded_power(g.multiplier, f.exponent, "multiplier"), g.exponent
+            ),
         )
 
     def canonical_value(self, p: Pseudoquotient) -> RootValue:
@@ -171,7 +185,7 @@ class PowerAffine(Instance):
 
     @property
     def designated_element(self) -> PowerAffineMap:
-        return PowerAffineMap(1, 1)
+        return PowerAffineMap._unchecked(1, 1)  # x -> x
 
     def random_element(self, rng: random.Random) -> PowerAffineMap:
         return PowerAffineMap(rng.randint(1, 4), rng.randint(1, 3))

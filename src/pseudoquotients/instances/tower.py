@@ -62,6 +62,7 @@ from ..core import (
     bounded_power,
     require_int,
     require_object,
+    require_rational,
 )
 from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
 
@@ -95,7 +96,8 @@ class TowerValue:
     payload: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "payload", Fraction(self.payload))
+        require_int(self.level, "value level")
+        object.__setattr__(self, "payload", require_rational(self.payload, "value payload"))
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,14 @@ class TowerMap:
                 cleaned[level] = cleaned.get(level, 0) + exponent
         require_int(self.shift, "ascent power", 0)
         object.__setattr__(self, "level_powers", tuple(sorted(cleaned.items())))
+
+    @classmethod
+    def _unchecked(cls, level_powers: tuple[tuple[int, int], ...], shift: int) -> TowerMap:
+        """Unvalidated: sorted ``(level >= 1, exponent >= 1)`` pairs and a ``shift >= 0``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "level_powers", level_powers)
+        object.__setattr__(f, "shift", shift)
+        return f
 
     @classmethod
     def from_powers(cls, powers: Mapping[int, int], shift: int = 0) -> TowerMap:
@@ -198,7 +208,8 @@ class Tower(Instance):
             # ascending by f.shift renames g's squeeze levels
             shifted = level + f.shift
             merged[shifted] = merged.get(shifted, 0) + exponent
-        return TowerMap.from_powers(merged, f.shift + g.shift)
+        # shifted levels stay >= 1 and sums of positive exponents stay positive
+        return TowerMap._unchecked(tuple(sorted(merged.items())), f.shift + g.shift)
 
     def apply(self, f, x):
         self._check_element(f)
@@ -213,13 +224,12 @@ class Tower(Instance):
     def ore_complete(self, f, g):
         self._check_element(f)
         self._check_element(g)
-        f_prime = TowerMap.from_powers(
-            {level + g.shift: k for level, k in f.level_powers}, f.shift
+        # levels shifted by a shift >= 0 stay >= 1, and in sorted order; tuple() of
+        # a list is sized once, of a generator it over-allocates and shrinks
+        return OreWitness(
+            TowerMap._unchecked(tuple([(j + g.shift, k) for j, k in f.level_powers]), f.shift),
+            TowerMap._unchecked(tuple([(j + f.shift, k) for j, k in g.level_powers]), g.shift),
         )
-        g_prime = TowerMap.from_powers(
-            {level + f.shift: k for level, k in g.level_powers}, g.shift
-        )
-        return OreWitness(f_prime, g_prime)
 
     def canonical_value(self, p: Pseudoquotient) -> TowerValue:
         f = self._check_element(p.denominator)
@@ -232,7 +242,7 @@ class Tower(Instance):
 
     @property
     def designated_element(self) -> TowerMap:
-        return TowerMap()
+        return TowerMap._unchecked((), 0)  # the empty word
 
     def random_element(self, rng: random.Random) -> TowerMap:
         powers = {level: rng.randint(0, 2) for level in rng.sample(range(1, 4), rng.randint(0, 2))}

@@ -16,6 +16,7 @@ from pseudoquotients import (
     StepFunction,
     TowerMap,
     TowerPoint,
+    TowerValue,
     UsageError,
 )
 from pseudoquotients.core import (
@@ -24,6 +25,8 @@ from pseudoquotients.core import (
     int_text,
     require_int,
     require_object,
+    require_rational,
+    value_text,
 )
 
 HUGE = 10**5000  # more digits than CPython's int-to-str prints; 16610 bits
@@ -45,6 +48,7 @@ CONSTRUCTORS = {
     "TowerMap.level": lambda v: TowerMap(((v, 1),), 0),
     "TowerMap.exponent": lambda v: TowerMap(((1, v),), 0),
     "TowerMap.shift": lambda v: TowerMap((), v),
+    "TowerValue.level": lambda v: TowerValue(v, 0),
 }
 
 
@@ -114,6 +118,7 @@ RATIONAL_CONSTRUCTORS = {
     "StepFunction.coefficients": lambda v: StepFunction((v,)),
     "DyadicStepValue.values": lambda v: DyadicStepValue(0, 0, (v,)),
     "RootValue.radicand": lambda v: RootValue(v, 1),
+    "TowerValue.payload": lambda v: TowerValue(1, v),
 }
 
 
@@ -131,6 +136,38 @@ def test_constructors_take_an_int_or_a_fraction(field, good):
 def test_constructors_reject_non_rationals(field, bad):
     with pytest.raises(DomainError, match="must be an integer or a Fraction"):
         RATIONAL_CONSTRUCTORS[field](bad)
+
+
+def test_tower_values_keep_their_exact_fields():
+    value = TowerValue(-2, 3)
+    assert (value.level, value.payload) == (-2, Fraction(3))
+    assert type(value.payload) is Fraction
+    assert TowerValue(0, Fraction(1, 2)).payload == Fraction(1, 2)
+
+
+def test_value_text_is_repr_for_short_values():
+    for value in (2.7, "1", True, None, [1, 2], Fraction(27, 10), -5):
+        assert value_text(value) == repr(value)
+
+
+def test_long_fractions_are_named_by_size():
+    # repr(Fraction(HUGE, 3)) would raise CPython's int-to-str ValueError
+    assert value_text(Fraction(HUGE, 3)) == "Fraction(an integer of 16610 bits, 3)"
+    message = r"^matrix entry must be an integer, got Fraction\(an integer of 16610 bits, 3\)$"
+    with pytest.raises(DomainError, match=message):
+        require_int(Fraction(HUGE, 3), "matrix entry")
+    with pytest.raises(DomainError, match=message):
+        AffineLatticeMap(((Fraction(HUGE, 3),),), (0,))
+    with pytest.raises(UsageError, match=r", got \(Fraction\(an integer of 16610 bits, 3\),\)$"):
+        AffineLattice(1).apply(AffineLattice(1).designated_element, (Fraction(HUGE, 3),))
+
+
+def test_values_holding_long_integers_are_named_by_type():
+    assert value_text([HUGE]) == "a list too long to print"
+    with pytest.raises(DomainError, match=r"^offset entry must be an integer, got a list too long"):
+        AffineLatticeMap(((1,),), ([HUGE],))
+    with pytest.raises(DomainError, match=r"^radicand must be an integer or a Fraction, got a tuple"):
+        require_rational((HUGE,), "radicand")
 
 
 def test_bounded_power_names_a_huge_base_by_its_size():

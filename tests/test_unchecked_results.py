@@ -1,0 +1,105 @@
+"""Hook results built without validation are exactly what the public constructors build.
+
+``compose``, ``ore_complete``, ``reduce_fraction`` and ``designated_element``
+build their elements through a private unchecked constructor, relying on
+invariants of each instance's algebra.  Rebuilt from its fields through the
+public constructor, which validates and normalizes, every such element must
+come back equal and with the same hash: a result that broke an invariant
+would be refused, or normalized into a different value.
+"""
+
+from dataclasses import fields
+
+import pytest
+
+from pseudoquotients import (
+    AffineLattice,
+    AffineLatticeMap,
+    DomainError,
+    DyadicStepMap,
+    GroupFraction,
+    PowerAffineMap,
+    TowerMap,
+)
+from pseudoquotients.instances.affine_lattice import identity_matrix, mat_scale
+
+TRIALS = 20
+CHAIN = 3
+
+
+def rebuilt(f):
+    """``f`` rebuilt from its fields through its type's public constructor."""
+    return type(f)(*(getattr(f, field.name) for field in fields(f)))
+
+
+def hook_results(instance, rng):
+    """Elements from every unchecked hook, on sampled inputs and on chains of their outputs."""
+    yield instance.designated_element
+    for _ in range(TRIALS):
+        f, g = instance.random_element(rng), instance.random_element(rng)
+        frac = instance.random_fraction(rng)
+        for _ in range(CHAIN):
+            h = instance.compose(f, g)
+            w = instance.ore_complete(f, g)
+            reduced = instance.reduce_fraction(GroupFraction(f, g))
+            frac = instance.frac_compose(frac, GroupFraction(f, g))
+            yield from (h, w.f_prime, w.g_prime, reduced.den, reduced.num, frac.den, frac.num)
+            f, g = w.g_prime, instance.compose(g, instance.random_element(rng))
+
+
+def test_hook_results_rebuild_equal(instance, rng):
+    for f in hook_results(instance, rng):
+        assert isinstance(f, instance.element_type)
+        again = rebuilt(f)
+        assert again == f and hash(again) == hash(f)
+
+
+def test_sampled_elements_rebuild_equal(instance, rng):
+    # random_element is outside input too: it goes through the public constructor
+    for _ in range(TRIALS):
+        f = instance.random_element(rng)
+        assert rebuilt(f) == f
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reduced_affine_denominator_is_a_positive_scalar(dim, rng):
+    # the invariant behind the unchecked reduce_fraction: den = (D I, 0) with D > 0
+    af = AffineLattice(dim)
+    for _ in range(TRIALS):
+        frac = af.random_fraction(rng)
+        for _ in range(CHAIN):
+            reduced = af.reduce_fraction(frac)
+            scale = reduced.den.matrix[0][0]
+            assert scale > 0
+            assert reduced.den == AffineLatticeMap(mat_scale(identity_matrix(dim), scale), (0,) * dim)
+            frac = af.frac_compose(reduced, af.random_fraction(rng))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AffineLatticeMap(((0,),), (0,)),
+        lambda: AffineLatticeMap(((1, 2), (2, 4)), (0, 0)),
+        lambda: TowerMap(((0, 1),)),
+        lambda: TowerMap(((1, -1),)),
+        lambda: TowerMap((), -1),
+        lambda: DyadicStepMap(-1, 0),
+        lambda: DyadicStepMap(0, -1),
+        lambda: PowerAffineMap(0, 1),
+        lambda: PowerAffineMap(1, 0),
+    ],
+    ids=[
+        "affine-singular-1d",
+        "affine-singular-2d",
+        "tower-level-0",
+        "tower-negative-exponent",
+        "tower-negative-shift",
+        "dyadic-negative-shift",
+        "dyadic-negative-halvings",
+        "power-affine-multiplier-0",
+        "power-affine-exponent-0",
+    ],
+)
+def test_public_constructors_still_refuse_invalid_values(build):
+    with pytest.raises(DomainError):
+        build()
