@@ -31,13 +31,11 @@ print("on the box        ->",
 # Solving d(xi) = box needs a finer grid than any point offers: the
 # canonical value lives on cells of width 1/2 with doubled values.
 sharp = inst.canonical_value(inst.solve(d, box))
-print("solve d(xi)=box   -> scale", sharp.scale, "start", sharp.start,
-      "values", [str(v) for v in sharp.values])
+print("solve d(xi)=box   ->", inst.canonical_json(sharp))
 
 # Solving t(xi) = box pushes support left of the origin.
 early = inst.canonical_value(inst.solve(t, box))
-print("solve t(xi)=box   -> scale", early.scale, "start", early.start,
-      "values", [str(v) for v in early.values])
+print("solve t(xi)=box   ->", inst.canonical_json(early))
 
 # Undoing a refinement via the fraction group: d~^-1 applied to a class.
 sharper = inst.frac_apply(frac_inverse(inst.frac_from_element(d)), inst.embed(box))

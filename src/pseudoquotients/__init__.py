@@ -24,7 +24,6 @@ from .instances import (
     AffineLatticeMap,
     DyadicStepMap,
     DyadicSteps,
-    DyadicStepValue,
     PowerAffine,
     PowerAffineMap,
     RootValue,
@@ -61,7 +60,6 @@ __all__ = [
     "DomainError",
     "DyadicStepMap",
     "DyadicSteps",
-    "DyadicStepValue",
     "GroupFraction",
     "INSTANCE_NAMES",
     "InjectivityResult",

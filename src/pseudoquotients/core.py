@@ -106,6 +106,15 @@ def require_rational(value: Any, what: str) -> Fraction:
     raise DomainError(f"{what} must be an integer or a Fraction, got {value_text(value)}")
 
 
+def require_sequence(value: Any, what: str, length: int | None = None) -> tuple | list:
+    """``value`` if it is a tuple or a list (of ``length`` entries, if given), else a DomainError."""
+    if not isinstance(value, (tuple, list)):
+        raise DomainError(f"{what} must be a tuple or a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise DomainError(f"{what} must have {length} entries, got {len(value)}")
+    return value
+
+
 def require_object(value: Any, what: str, keys: Collection[str]) -> dict:
     """``value`` if it is a JSON object with no key outside ``keys``; ``what`` names one key."""
     if not isinstance(value, dict):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..core import DomainError, Instance, Preset
 from .affine_lattice import AffineLattice, AffineLatticeMap, adjugate, determinant
-from .dyadic_steps import DyadicStepMap, DyadicSteps, DyadicStepValue, StepFunction
+from .dyadic_steps import DyadicStepMap, DyadicSteps, StepFunction
 from .power_affine import PowerAffine, PowerAffineMap, RootValue
 from .tower import Tower, TowerConfig, TowerMap, TowerPoint, TowerValue, default_tower_config
 
@@ -13,7 +13,6 @@ __all__ = [
     "AffineLatticeMap",
     "DyadicStepMap",
     "DyadicSteps",
-    "DyadicStepValue",
     "INSTANCE_NAMES",
     "PRESETS",
     "PowerAffine",

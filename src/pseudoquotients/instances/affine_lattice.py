@@ -42,6 +42,7 @@ from ..core import (
     Pseudoquotient,
     UsageError,
     require_int,
+    require_sequence,
     value_text,
 )
 from ..syntax import ParseError, parse_bracketed, parse_int, split_top_level, unwrap
@@ -152,8 +153,9 @@ class AffineLatticeMap:
     offset: Vector
 
     def __post_init__(self):
-        matrix = tuple(map(tuple, self.matrix))
-        offset = tuple(self.offset)
+        rows = require_sequence(self.matrix, "matrix")
+        matrix = tuple(tuple(require_sequence(row, "matrix row")) for row in rows)
+        offset = tuple(require_sequence(self.offset, "offset"))
         # every composition builds a map: an exact int passes the cheap test
         for row in matrix:
             for e in row:

@@ -14,25 +14,16 @@ shifted twice as far), so every word in them has the unique normal form
 multiply by ``(m1, n1) o (m2, n2) = (m1 + 2**n1 * m2, n1 + n2)`` and the
 uniqueness of the normal form gives right cancellation.
 
-A :class:`StepFunction` holds its coefficients as integer numerators over
-one common denominator in lowest terms.  So ``t^m d^n`` prepends ``m``
-zero numerators, repeats each numerator ``2**n`` times and multiplies the
-denominator by ``2**n``, cancelling their common power of two once; no
-``Fraction`` is built per cell, and interning a point hashes integers.
-
-Formal solutions live on finer dyadic grids and may extend left of 0:
-inverting ``t^m d^n`` on a function ``x`` yields
-``xi(s) = 2**n * x(2**n * s + m)``, a step function on the grid of width
-``2**-n`` starting at cell ``-m``.  :class:`DyadicStepValue` stores that
-solution in a normalized form (trimmed, coarsest possible grid), which
-makes class equality a structural comparison.  Both generators preserve
-the integral and the L1 norm, so a class inherits both from any of its
-numerators.
+Points and classes are one type, :class:`StepFunction`: a step function
+on an anchored dyadic grid, in a normal form that makes equal functions
+have equal fields.  ``t^m d^n`` and its inverse, which gives the class of
+``x / (t^m d^n)`` as ``xi(s) = 2**n * x(2**n * s + m)``, both keep that
+form, so no action writes out a cell.  Both generators preserve the
+integral and the L1 norm, so a class inherits both from any numerator.
 
 Sizes are bounded: a factor ``2**n`` of more than ``core.MAX_POWER_BITS``
-bits, and an image under :meth:`DyadicSteps.apply` of more than
-:data:`MAX_CELLS` cells, are domain errors.  The image of the zero
-function is the zero function, built without any cell.
+bits is a domain error, and so is writing out more than :data:`MAX_CELLS`
+cells of one function (its ``coefficients``, its text, its canonical JSON).
 
 Text syntax: an element is a word such as ``t^2 d^1`` or ``d t``, its
 letters composed in written order (a bare letter has exponent 1); a
@@ -59,53 +50,108 @@ from ..core import (
     bounded_power,
     require_int,
     require_rational,
+    require_sequence,
 )
 from ..syntax import parse_bracketed, parse_rational, word_letters
 
-__all__ = ["MAX_CELLS", "DyadicStepMap", "DyadicSteps", "DyadicStepValue", "StepFunction"]
+__all__ = ["MAX_CELLS", "DyadicStepMap", "DyadicSteps", "StepFunction"]
 
-MAX_CELLS = 1 << 22  # the most cells an image under ``apply`` may have
+MAX_CELLS = 1 << 22  # the most cells written out for one step function
 
 
 @dataclass(frozen=True, init=False)
 class StepFunction:
-    """A finitely supported step function on ``[0, 1), [1, 2), ...``.
+    """``numerators[j] / denominator`` on ``[offset + j * 2**width, offset + (j+1) * 2**width)``.
 
-    Built from exact rational coefficients (ints or Fractions), and held
-    as integer ``numerators`` over one positive ``denominator`` in lowest
-    terms, with trailing zeros trimmed, so the representation is unique
-    and equal functions have equal fields.  The zero function has no
-    numerators and denominator 1.
+    Normal form: no zero cell at either end (``offset`` is the left end of
+    the support), ``width`` as large as the values allow, the fraction in
+    lowest terms with ``denominator > 0``, and ``offset`` an int when it is
+    integral, a dyadic Fraction otherwise.  The zero function is
+    ``(0, 0, (), 1)``.  ``StepFunction(coefficients)`` builds the point with
+    value ``ck`` on ``[k, k+1)``; the points are the functions with
+    ``width >= 0`` and an integer ``offset >= 0``.
     """
 
+    width: int
+    offset: int | Fraction
     numerators: tuple[int, ...]
     denominator: int
 
     def __init__(self, coefficients=()):
-        coeffs = [require_rational(c, "a step coefficient") for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = [
+            require_rational(c, "a step coefficient")
+            for c in require_sequence(coefficients, "step coefficients")
+        ]
         # each prime power of the lcm divides some coefficient's own reduced
         # denominator, so the scaled numerators share no factor with it
         den = math.lcm(*(c.denominator for c in coeffs))
-        self._hold(tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        while nums and nums[-1] == 0:
+            nums.pop()
+        offset = next((j for j, k in enumerate(nums) if k), 0)
+        del nums[:offset]
+        width = 0
+        while nums and len(nums) % 2 == 0 and nums[::2] == nums[1::2]:
+            del nums[1::2]
+            width += 1
+        self._hold(width, offset, tuple(nums), den)
 
-    def _hold(self, numerators: tuple[int, ...], denominator: int) -> StepFunction:
-        """Store ``numerators / denominator``, given trimmed and in lowest terms."""
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
+    def _hold(self, *fields) -> StepFunction:
+        """Store ``width, offset, numerators, denominator``, given in the normal form."""
+        for name, value in zip(("width", "offset", "numerators", "denominator"), fields):
+            object.__setattr__(self, name, value)
         return self
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        """The value on each unit cell, as Fractions."""
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+        """The value on each unit cell from 0, as Fractions; points only."""
+        return tuple(_cells(_require_point(self), self.offset, self.width, Fraction))
 
     def integral(self) -> Fraction:
-        return Fraction(sum(self.numerators), self.denominator)
+        return Fraction(sum(self.numerators), self.denominator) * Fraction(2) ** self.width
 
     def l1_norm(self) -> Fraction:
-        return Fraction(sum(map(abs, self.numerators)), self.denominator)
+        total = Fraction(sum(map(abs, self.numerators)), self.denominator)
+        return total * Fraction(2) ** self.width
+
+
+def _moved(x: StepFunction, shift, n: int) -> StepFunction:
+    """``s -> 2**-n * x((s - shift) / 2**n)``: ``t^shift d^n``, or with ``n < 0`` an inverse.
+
+    Moving the grid and scaling every value keep the normal form; only
+    the fraction is cancelled, once.
+    """
+    if not x.numerators:
+        return x  # the zero function, whatever the map does to the grid
+    power = bounded_power(2, abs(n), "refine factor")
+    numerators, denominator = x.numerators, x.denominator
+    if n >= 0:
+        offset = x.offset * power + shift
+        denominator *= power
+    else:
+        offset = Fraction(x.offset, power) + shift
+        offset = offset.numerator if offset.denominator == 1 else offset
+        numerators = tuple(k * power for k in numerators)
+    common = math.gcd(denominator, *numerators)
+    if common != 1:
+        numerators = tuple(k // common for k in numerators)
+        denominator //= common
+    return object.__new__(StepFunction)._hold(x.width + n, offset, numerators, denominator)
+
+
+def _require_point(x: StepFunction) -> StepFunction:
+    if x.width < 0 or type(x.offset) is not int or x.offset < 0:
+        raise UsageError("expected a StepFunction on unit cells from 0, got a class value")
+    return x
+
+
+def _cells(x: StepFunction, lead: int, exponent: int, form):
+    """``lead`` zeros, then ``2**exponent`` copies of each value; ``form`` builds each once."""
+    # a nonzero function with 2**exponent > MAX_CELLS is refused before the shift
+    if exponent >= MAX_CELLS.bit_length() or lead + (len(x.numerators) << exponent) > MAX_CELLS:
+        raise DomainError(f"the image would have over {MAX_CELLS} cells")
+    cells = (repeat(form(Fraction(k, x.denominator)), 1 << exponent) for k in x.numerators)
+    return chain(repeat(form(Fraction(0)), lead), *cells)
 
 
 @dataclass(frozen=True)
@@ -128,54 +174,6 @@ class DyadicStepMap:
         return f
 
 
-@dataclass(frozen=True)
-class DyadicStepValue:
-    """A step function on the grid ``2**-scale * Z``, normalized.
-
-    ``values[j]`` is the value on
-    ``[(start + j) * 2**-scale, (start + j + 1) * 2**-scale)``.
-    Normalization trims zeros at both ends and coarsens the grid while
-    adjacent cells pair up, so equal functions have equal fields and the
-    zero function is ``(scale=0, start=0, values=())``.
-    """
-
-    scale: int
-    start: int
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        scale, start = require_int(self.scale, "scale", 0), require_int(self.start, "start")
-        values = [require_rational(v, "a step value") for v in self.values]
-        while values and values[-1] == 0:
-            values.pop()
-        while values and values[0] == 0:
-            values.pop(0)
-            start += 1
-        while (
-            scale > 0
-            and values
-            and start % 2 == 0
-            and len(values) % 2 == 0
-            and all(values[i] == values[i + 1] for i in range(0, len(values), 2))
-        ):
-            values = values[::2]
-            start //= 2
-            scale -= 1
-        if not values:
-            scale, start = 0, 0
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "values", tuple(values))
-
-    def integral(self) -> Fraction:
-        cell = Fraction(1, 2**self.scale)
-        return sum(self.values, Fraction(0)) * cell
-
-    def l1_norm(self) -> Fraction:
-        cell = Fraction(1, 2**self.scale)
-        return sum((abs(v) for v in self.values), Fraction(0)) * cell
-
-
 _LETTER = re.compile(r"(?P<gen>[td])(?:\^(?P<exp>-?\d+))?")
 
 
@@ -196,24 +194,7 @@ class DyadicSteps(Instance):
 
     def apply(self, f, x):
         self._check_element(f)
-        self._check_point(x)
-        if not x.numerators:
-            return x  # the zero function, whatever f does to the grid
-        blow = bounded_power(2, f.halvings, "refine factor")
-        if f.shift + len(x.numerators) * blow > MAX_CELLS:
-            raise DomainError(f"the image would have over {MAX_CELLS} cells")
-        # halving every cell 2^n-fold divides the denominator once; the common
-        # power of two is cancelled first, so the result is in lowest terms
-        common = math.gcd(blow, *x.numerators)
-        cells = x.numerators if common == 1 else tuple(n // common for n in x.numerators)
-        # the 2^n copies in one C-level pass: zip 2^n references to the cells
-        # when there are at least as many cells, else one repeat per cell
-        if blow <= len(cells):
-            copies = zip(*repeat(cells, blow))
-        else:
-            copies = map(repeat, cells, repeat(blow))
-        numerators = (0,) * f.shift + tuple(chain.from_iterable(copies))
-        return object.__new__(StepFunction)._hold(numerators, x.denominator * (blow // common))
+        return _moved(self._check_point(x), f.shift, f.halvings)
 
     def ore_complete(self, f, g):
         self._check_element(f)
@@ -234,32 +215,31 @@ class DyadicSteps(Instance):
             DyadicStepMap._unchecked(max(0, lifted - f.shift), 0),
         )
 
-    def canonical_value(self, p: Pseudoquotient) -> DyadicStepValue:
+    def canonical_value(self, p: Pseudoquotient) -> StepFunction:
         """Invert the denominator: ``xi(s) = 2**n * x(2**n * s + m)``."""
         f = self._check_element(p.denominator)
         x = self._check_point(p.numerator)
-        blow = bounded_power(2, f.halvings, "refine factor")
-        return DyadicStepValue(
-            scale=f.halvings,
-            start=-f.shift,
-            values=tuple(Fraction(n * blow, x.denominator) for n in x.numerators),
-        )
+        power = bounded_power(2, f.halvings, "refine factor")
+        return _moved(x, Fraction(-f.shift, power), -f.halvings)
 
     def integral(self, value) -> Fraction:
-        """Integral of a step function, a solution value, or a class."""
+        """Integral of a step function or a class."""
         if isinstance(value, Pseudoquotient):
-            return self._check_point(value.numerator).integral()
-        if isinstance(value, (StepFunction, DyadicStepValue)):
+            value = self._check_point(value.numerator)
+        if isinstance(value, StepFunction):
             return value.integral()
         raise UsageError(f"cannot integrate {type(value).__name__}")
 
     def l1_norm(self, value) -> Fraction:
-        """L1 norm of a step function, a solution value, or a class."""
+        """L1 norm of a step function or a class."""
         if isinstance(value, Pseudoquotient):
-            return self._check_point(value.numerator).l1_norm()
-        if isinstance(value, (StepFunction, DyadicStepValue)):
+            value = self._check_point(value.numerator)
+        if isinstance(value, StepFunction):
             return value.l1_norm()
         raise UsageError(f"cannot take the norm of {type(value).__name__}")
+
+    def _check_point(self, x):
+        return _require_point(super()._check_point(x))
 
     @property
     def designated_element(self) -> DyadicStepMap:
@@ -290,10 +270,16 @@ class DyadicSteps(Instance):
         return StepFunction(tuple(parse_rational(e, e_start) for e, e_start in entries))
 
     def point_text(self, x: StepFunction) -> str:
-        return "[" + ",".join(str(c) for c in x.coefficients) + "]"
+        return "[" + ",".join(_cells(_require_point(x), x.offset, x.width, str)) + "]"
 
-    def canonical_json(self, value: DyadicStepValue) -> dict:
-        return {"scale": value.scale, "start": value.start, "values": [str(v) for v in value.values]}
+    def canonical_json(self, value: StepFunction) -> dict:
+        """Values on the coarsest grid ``2**-scale * Z``, ``scale >= 0``, with every breakpoint."""
+        nums = value.numerators
+        cuts = [0, len(nums), *(j for j in range(1, len(nums)) if nums[j - 1] != nums[j])]
+        cell = Fraction(2) ** value.width
+        scale = max(Fraction(value.offset + j * cell).denominator.bit_length() - 1 for j in cuts)
+        cells = list(_cells(value, 0, value.width + scale, str))
+        return {"scale": scale, "start": int(value.offset * 2**scale), "values": cells}
 
     @classmethod
     def presets(cls) -> dict[str, Preset]:

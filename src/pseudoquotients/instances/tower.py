@@ -63,6 +63,7 @@ from ..core import (
     require_int,
     require_object,
     require_rational,
+    require_sequence,
 )
 from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
 
@@ -113,7 +114,8 @@ class TowerMap:
 
     def __post_init__(self):
         cleaned: dict[int, int] = {}
-        for level, exponent in self.level_powers:
+        for pair in require_sequence(self.level_powers, "level_powers"):
+            level, exponent = require_sequence(pair, "level_powers entry", 2)
             require_int(level, "squeeze level", 1)
             if require_int(exponent, "squeeze exponent", 0):
                 cleaned[level] = cleaned.get(level, 0) + exponent

@@ -350,19 +350,31 @@ def test_config_keys_and_objects_are_checked_at_every_level(capsys, tmp_path, co
     ids=["shift-1e9", "refine-4e7-witness", "refine-1e10-canonical", "refine-30-image"],
 )
 def test_dyadic_size_limits_exit_1_as_a_subprocess(argv):
+    done = run_module(*argv)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("domain error:")
+    assert "Traceback" not in done.stderr
+
+
+def test_dyadic_images_past_the_cell_limit_are_compared_as_a_subprocess():
+    # the witness images have 2^30 cells; no action writes them out
+    argv = ("--output", "json", "equiv", "--instance", "dyadic-steps", "pq([1]; d^30 t)", "pq([1]; t)")
+    done = run_module(*argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["equivalent"] is False
+
+
+def run_module(*argv):
     import os
     import subprocess
     import sys
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pseudoquotients", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=5,
     )
-    assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr.startswith("domain error:")
-    assert "Traceback" not in done.stderr

@@ -1,4 +1,5 @@
-"""The rules for outside input: ``require_int``, ``require_rational`` and ``require_object``."""
+"""The rules for outside input: ``require_int``, ``require_rational``, ``require_sequence``
+and ``require_object``."""
 
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from pseudoquotients import (
     AffineLatticeMap,
     DomainError,
     DyadicStepMap,
-    DyadicStepValue,
     PowerAffine,
     PowerAffineMap,
     RootValue,
@@ -26,6 +26,7 @@ from pseudoquotients.core import (
     require_int,
     require_object,
     require_rational,
+    require_sequence,
     value_text,
 )
 
@@ -41,8 +42,6 @@ CONSTRUCTORS = {
     "AffineLattice.dim": lambda v: AffineLattice(v),
     "DyadicStepMap.shift": lambda v: DyadicStepMap(v, 0),
     "DyadicStepMap.halvings": lambda v: DyadicStepMap(0, v),
-    "DyadicStepValue.scale": lambda v: DyadicStepValue(v, 0, ()),
-    "DyadicStepValue.start": lambda v: DyadicStepValue(0, v, ()),
     "TowerPoint.level": lambda v: TowerPoint(v, 0),
     "TowerPoint.payload": lambda v: TowerPoint(1, v),
     "TowerMap.level": lambda v: TowerMap(((v, 1),), 0),
@@ -116,7 +115,6 @@ def test_affine_points_are_int_vectors():
 # every constructor that takes rationals, with one rational field left open
 RATIONAL_CONSTRUCTORS = {
     "StepFunction.coefficients": lambda v: StepFunction((v,)),
-    "DyadicStepValue.values": lambda v: DyadicStepValue(0, 0, (v,)),
     "RootValue.radicand": lambda v: RootValue(v, 1),
     "TowerValue.payload": lambda v: TowerValue(1, v),
 }
@@ -136,6 +134,44 @@ def test_constructors_take_an_int_or_a_fraction(field, good):
 def test_constructors_reject_non_rationals(field, bad):
     with pytest.raises(DomainError, match="must be an integer or a Fraction"):
         RATIONAL_CONSTRUCTORS[field](bad)
+
+
+# every sequence field of a public constructor: (build with it, the field's name, a good value)
+SEQUENCE_FIELDS = {
+    "StepFunction.coefficients": (StepFunction, "step coefficients", (1, 2)),
+    "AffineLatticeMap.matrix": (lambda v: AffineLatticeMap(v, (0,)), "matrix", ((1,),)),
+    "AffineLatticeMap.matrix row": (lambda v: AffineLatticeMap((v,), (0,)), "matrix row", (1,)),
+    "AffineLatticeMap.offset": (lambda v: AffineLatticeMap(((1,),), v), "offset", (0,)),
+    "TowerMap.level_powers": (TowerMap, "level_powers", ((1, 2),)),
+    "TowerMap.level_powers entry": (lambda v: TowerMap((v,)), "level_powers entry", (1, 2)),
+}
+
+
+@pytest.mark.parametrize("field", SEQUENCE_FIELDS)
+def test_sequence_fields_take_a_tuple_or_a_list(field):
+    build, _, good = SEQUENCE_FIELDS[field]
+    as_list = [list(e) if isinstance(e, tuple) else e for e in good]
+    assert build(good) == build(as_list)
+
+
+@pytest.mark.parametrize(
+    "bad", [None, 5, {1: 2}, "12", range(2), iter((1, 2))],
+    ids=["none", "int", "dict", "string", "range", "iterator"],
+)
+@pytest.mark.parametrize("field", SEQUENCE_FIELDS)
+def test_sequence_fields_reject_everything_else(field, bad):
+    build, name, _ = SEQUENCE_FIELDS[field]
+    message = f"^{name} must be a tuple or a list, got {type(bad).__name__}$"
+    with pytest.raises(DomainError, match=message):
+        build(bad)
+
+
+def test_sequence_lengths_are_checked():
+    assert require_sequence([1, 2], "pair", 2) == [1, 2]
+    with pytest.raises(DomainError, match="^level_powers entry must have 2 entries, got 3$"):
+        TowerMap(((1, 2, 3),))
+    with pytest.raises(DomainError, match="^level_powers entry must have 2 entries, got 1$"):
+        TowerMap(([1],))
 
 
 def test_tower_values_keep_their_exact_fields():
