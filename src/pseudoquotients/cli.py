@@ -29,7 +29,7 @@ from .grammar import (
     pq_text,
 )
 from .instances import INSTANCE_NAMES, create_instance
-from .verifier import PRESET_NAMES, presentation_from_config, preset, verify
+from .verifier import PRESET_NAMES, presentation_from_config, verify
 
 __all__ = ["build_parser", "entry", "main"]
 
@@ -162,12 +162,11 @@ def _cmd_verify(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-        if args.depth is not None and isinstance(config, dict):
-            config = {**config, "max_depth": args.depth}
-        presentation = presentation_from_config(config)
     else:
-        presentation = preset(args.preset, args.depth)
-    report = verify(presentation)
+        config = {"preset": args.preset}
+    if args.depth is not None and isinstance(config, dict):
+        config = {**config, "max_depth": args.depth}
+    report = verify(presentation_from_config(config))
     _emit(report.to_json(), args.output)
     return 3 if report.has_counterexample else 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .core import GroupFraction, Pseudoquotient
 from .instances import create_instance
-from .syntax import ParseError, split_top_level, unwrap
+from .syntax import ParseError, split_pair
 
 __all__ = [
     "ParseError",
@@ -47,18 +47,9 @@ def point_text(instance_name: str, point) -> str:
     return create_instance(instance_name).point_text(point)
 
 
-def _pair(text: str, head: str, separator: str, usage: str) -> list[tuple[str, int]]:
-    """Split ``head(a <separator> b)`` into its two pieces with their offsets."""
-    inside, offset = unwrap(text, 0, f"{head}(", ")", f"{head}(...)")
-    pieces = split_top_level(inside, separator, offset)
-    if len(pieces) != 2:
-        raise ParseError(f"{head} takes exactly '{usage}'", offset)
-    return pieces
-
-
 def parse_pq(instance_name: str, text: str) -> Pseudoquotient:
     """Parse ``pq(<point>; <element>)``."""
-    point, element = _pair(text, "pq", ";", "pq(<point>; <element>)")
+    point, element = split_pair(text, 0, "pq", ";", "pq takes exactly 'pq(<point>; <element>)'")
     instance = create_instance(instance_name)
     return Pseudoquotient(instance.parse_point(*point), instance.parse_element(*element))
 
@@ -70,7 +61,7 @@ def pq_text(instance_name: str, p: Pseudoquotient) -> str:
 
 def parse_frac(instance_name: str, text: str) -> GroupFraction:
     """Parse ``frac(<den element>, <num element>)``."""
-    den, num = _pair(text, "frac", ",", "frac(<element>, <element>)")
+    den, num = split_pair(text, 0, "frac", ",", "frac takes exactly 'frac(<element>, <element>)'")
     instance = create_instance(instance_name)
     return GroupFraction(instance.parse_element(*den), instance.parse_element(*num))
 

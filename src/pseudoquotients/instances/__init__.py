@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core import DomainError, Instance, Preset
+from ..core import DomainError, Instance, Preset, value_text
 from .affine_lattice import AffineLattice, AffineLatticeMap, adjugate, determinant
 from .dyadic_steps import DyadicStepMap, DyadicSteps, StepFunction
 from .power_affine import PowerAffine, PowerAffineMap, RootValue
@@ -45,6 +45,6 @@ def create_instance(name: str, *, dim: int = 1) -> Instance:
         cls = _REGISTRY[name]
     except (KeyError, TypeError):
         raise DomainError(
-            f"unknown instance {name!r}; choose one of {', '.join(INSTANCE_NAMES)}"
+            f"unknown instance {value_text(name)}; choose one of {', '.join(INSTANCE_NAMES)}"
         ) from None
     return cls.create(dim)

@@ -11,7 +11,8 @@ maps
 satisfy ``f' g == g' f``; writing them with integer adjugates rather than
 rational inverses makes every witness entry an integer by construction.
 One fraction-free Gauss-Jordan pass gives a determinant and its adjugate
-together.  Classes are identified with rational vectors: the class of
+together; it is the only elimination here, and also validates each map.
+Classes are identified with rational vectors: the class of
 ``(x, (M, b))`` is the exact solution ``M^-1 (x - b)`` in ``Q^n``.
 
 A fraction ``(A, a)^-1 o (B, b)`` is the rational affine map
@@ -45,7 +46,7 @@ from ..core import (
     require_sequence,
     value_text,
 )
-from ..syntax import ParseError, parse_bracketed, parse_int, split_top_level, unwrap
+from ..syntax import parse_bracketed, parse_int, split_pair
 
 __all__ = ["AffineLattice", "AffineLatticeMap", "adjugate", "determinant"]
 
@@ -56,32 +57,6 @@ Vector = tuple[int, ...]
 # ----------------------------------------------------------------------
 # exact integer linear algebra
 # ----------------------------------------------------------------------
-
-def determinant(matrix) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # divisions below are exact for Bareiss pivoting
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
 
 def det_adjugate(matrix) -> tuple[int, Matrix]:
     """``(det M, adj M)`` by one fraction-free Gauss-Jordan pass on ``[M | I]``.
@@ -109,6 +84,14 @@ def det_adjugate(matrix) -> tuple[int, Matrix]:
                 rows[i] = [(pivot * a - factor * b) // prev for a, b in zip(row, pivot_row)]
         prev = pivot
     return sign * prev, tuple(tuple(sign * e for e in row[n:]) for row in rows)
+
+
+def determinant(matrix) -> int:
+    """Integer determinant, 0 for a singular matrix: the pass of :func:`det_adjugate`."""
+    try:
+        return det_adjugate(matrix)[0]
+    except DomainError:
+        return 0
 
 
 def adjugate(matrix) -> Matrix:
@@ -293,11 +276,9 @@ class AffineLattice(Instance):
         return tuple(rng.randint(-9, 9) for _ in range(self.dim))
 
     def parse_element(self, text: str, offset: int = 0) -> AffineLatticeMap:
-        inside, start = unwrap(text, offset, "aff(", ")", "aff(...)")
-        pieces = split_top_level(inside, ",", start)
-        if len(pieces) != 2:
-            raise ParseError("aff takes a matrix and an offset vector", start)
-        (matrix_text, matrix_start), (vector_text, vector_start) = pieces
+        (matrix_text, matrix_start), (vector_text, vector_start) = split_pair(
+            text, offset, "aff", ",", "aff takes a matrix and an offset vector"
+        )
         rows = parse_bracketed(matrix_text, matrix_start)
         # matrix rows and the offset vector are written like points
         matrix = tuple(self.parse_point(row, row_start) for row, row_start in rows)

@@ -51,7 +51,6 @@ import random
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping
 
 from ..core import (
     DomainError,
@@ -129,10 +128,6 @@ class TowerMap:
         object.__setattr__(f, "level_powers", level_powers)
         object.__setattr__(f, "shift", shift)
         return f
-
-    @classmethod
-    def from_powers(cls, powers: Mapping[int, int], shift: int = 0) -> TowerMap:
-        return cls(tuple(powers.items()), shift)
 
     def power_at(self, level: int) -> int:
         return dict(self.level_powers).get(level, 0)
@@ -248,7 +243,7 @@ class Tower(Instance):
 
     def random_element(self, rng: random.Random) -> TowerMap:
         powers = {level: rng.randint(0, 2) for level in rng.sample(range(1, 4), rng.randint(0, 2))}
-        return TowerMap.from_powers(powers, rng.randint(0, 2))
+        return TowerMap(tuple(powers.items()), rng.randint(0, 2))
 
     def random_point(self, rng: random.Random) -> TowerPoint:
         # levels reach past every squeeze level a few compositions can

@@ -71,6 +71,17 @@ def unwrap(text: str, offset: int, opening: str, closing: str, expected: str) ->
     return stripped[len(opening) : -len(closing)], lead + len(opening)
 
 
+def split_pair(
+    text: str, offset: int, head: str, separator: str, message: str
+) -> list[tuple[str, int]]:
+    """Split ``head(a <separator> b)`` into its two pieces with their offsets, else ``message``."""
+    inside, start = unwrap(text, offset, f"{head}(", ")", f"{head}(...)")
+    pieces = split_top_level(inside, separator, start)
+    if len(pieces) != 2:
+        raise ParseError(message, start)
+    return pieces
+
+
 def parse_bracketed(
     text: str, offset: int, brackets: str = "[]", expected: str = "a [...] list"
 ) -> list[tuple[str, int]]:

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .core import DomainError, UsageError, require_int, require_object
+from .core import DomainError, UsageError, require_int, require_object, value_text
 from .instances import PRESETS
 
 __all__ = [
@@ -424,37 +424,13 @@ _CONFIG_KEYS = ("preset", *_RULES_KEYS, *_INT_CONFIG_KEYS)
 
 def preset(name: str, max_depth: int | None = None) -> Presentation:
     """A ready-made presentation for one of the built-in instances."""
-    return _preset(name, max_depth, {})
-
-
-def _preset(name: str, max_depth: int | None, config: dict) -> Presentation:
-    """The preset ``name``; custom rules under ``config[name]`` rebuild its instance."""
-    try:
-        spec = PRESETS[name]
-    except (KeyError, TypeError):
-        raise DomainError(
-            f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
-        ) from None
-    rules_keys = (name,) if spec.from_rules is not None else ()
-    require_object(config, "config key", ("preset", "max_depth", *rules_keys))
-    instance, label = spec.instance, name
-    if rules_keys and config.get(name) is not None:
-        instance, label = spec.from_rules(config[name]), f"{name} (custom rules)"
-    return Presentation(
-        generators=tuple(
-            (gen, lambda p, el=element: instance.apply(el, p)) for gen, element in spec.generators
-        ),
-        sample_points=spec.samples,
-        max_depth=spec.depth if max_depth is None else max_depth,
-        label=label,
-        point_text=instance.point_text,
-    )
+    return presentation_from_config({"preset": name, "max_depth": max_depth})
 
 
 def _config_text(value: Any, what: str) -> str:
     """``value`` if it is a JSON string, else a DomainError (so ``1`` and ``"1"`` stay apart)."""
     if not isinstance(value, str):
-        raise DomainError(f"{what} must be a JSON string, got {value!r}")
+        raise DomainError(f"{what} must be a JSON string, got {value_text(value)}")
     return value
 
 
@@ -503,7 +479,29 @@ def presentation_from_config(config: Any) -> Presentation:
     config = require_object(config, "config key", _CONFIG_KEYS)
     depth = config.get("max_depth")
     if "preset" in config:
-        return _preset(config["preset"], depth, config)
+        name = config["preset"]
+        try:
+            spec = PRESETS[name]
+        except (KeyError, TypeError):
+            raise DomainError(
+                f"unknown preset {value_text(name)}; choose one of {', '.join(PRESET_NAMES)}"
+            ) from None
+        rules_keys = (name,) if spec.from_rules is not None else ()
+        require_object(config, "config key", ("preset", "max_depth", *rules_keys))
+        # custom rules under config[name] rebuild the preset's instance
+        instance, label = spec.instance, name
+        if rules_keys and config.get(name) is not None:
+            instance, label = spec.from_rules(config[name]), f"{name} (custom rules)"
+        return Presentation(
+            generators=tuple(
+                (gen, lambda p, el=element: instance.apply(el, p))
+                for gen, element in spec.generators
+            ),
+            sample_points=spec.samples,
+            max_depth=spec.depth if depth is None else depth,
+            label=label,
+            point_text=instance.point_text,
+        )
     require_object(config, "config key", _INT_CONFIG_KEYS)
     if config.get("domain") != "int":
         raise DomainError("config needs either a 'preset' or '\"domain\": \"int\"'")

@@ -24,7 +24,7 @@ from pseudoquotients.instances.affine_lattice import (
 
 
 def det_oracle(matrix):
-    """Determinant by rational Gaussian elimination, independent of Bareiss."""
+    """Determinant by rational Gaussian elimination, independent of the fraction-free pass."""
     n = len(matrix)
     a = [[Fraction(e) for e in row] for row in matrix]
     det = Fraction(1)
@@ -73,7 +73,7 @@ def cofactor_adjugate(matrix):
     if n == 1:
         return ((1,),)
     return tuple(
-        tuple((-1) ** (i + j) * determinant(_minor(matrix, j, i)) for j in range(n))
+        tuple((-1) ** (i + j) * int(det_oracle(_minor(matrix, j, i))) for j in range(n))
         for i in range(n)
     )
 

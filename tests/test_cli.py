@@ -9,6 +9,7 @@ import pytest
 from pseudoquotients import cli
 from pseudoquotients.cli import main
 from pseudoquotients.grammar import parse_element, parse_pq
+from pseudoquotients.verifier import PRESET_NAMES
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "cancellation_fail.json")
 
@@ -104,6 +105,16 @@ def test_verify_preset_ok(capsys):
     assert payload["injectivity"]["status"] == "pass"
     assert payload["cancellation"]["status"] == "pass"
     assert payload["validated"] is True
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_preset_name_and_its_config_print_the_same_bytes(capsys, tmp_path, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": name}), encoding="utf-8")
+    by_name = run(capsys, "verify", name, "--depth", "2")
+    by_config = run(capsys, "verify", "--config", str(path), "--depth", "2")
+    assert by_name == by_config
+    assert by_name[0] in (0, 3) and by_name[1]
 
 
 def test_verify_fixture_exits_3(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pseudoquotients import (
+    AffineLattice,
     AffineLatticeMap,
     DomainError,
     DyadicStepMap,
@@ -111,11 +112,13 @@ def test_syntax_errors_carry_positions():
         ("dyadic-steps", "pq([1,2]; t^2 q^1)", 14),
         ("tower", "pq((1,2); F^1 Q^1)", 14),
         ("affine-lattice", "pq([1]; aff([[x]],[0]))", 14),
+        ("affine-lattice", "pq([1]; aff([[1]]))", 12),
         ("power-affine", "pq(3; 3*y^2)", 6),
         ("tower", "pq((1,2,3); F^1)", 3),
         ("dyadic-steps", "pq([1,x]; t)", 6),
         ("power-affine", "frac(2*x^1, 3*y^2)", 12),
         ("affine-lattice", "frac(aff([[1]],[0]), aff([[1]],[z]))", 32),
+        ("affine-lattice", "frac(aff([[1]],[0]), aff([[1]],[0],[0]))", 25),
         ("dyadic-steps", "frac(t^1, t^1 q)", 14),
         ("tower", "frac(F^1 Q, F)", 9),
     ],
@@ -124,6 +127,22 @@ def test_nested_syntax_errors_report_offsets_in_the_whole_text(name, text, posit
     parse = parse_pq if text.startswith("pq(") else parse_frac
     with pytest.raises(ParseError) as excinfo:
         parse(name, text)
+    assert excinfo.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, offset, position",
+    [
+        ("aff([[2]])", 0, 4),
+        ("aff([[1]],[0],[1])", 0, 4),
+        ("  aff([[1,0],[0,1]])", 3, 9),
+        ("aff([[1]],[0],[1])", 7, 11),
+    ],
+)
+def test_aff_takes_exactly_two_top_level_pieces(text, offset, position):
+    with pytest.raises(ParseError) as excinfo:
+        AffineLattice(1).parse_element(text, offset)
+    assert str(excinfo.value) == f"aff takes a matrix and an offset vector (at offset {position})"
     assert excinfo.value.position == position
 
 

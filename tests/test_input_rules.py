@@ -18,6 +18,9 @@ from pseudoquotients import (
     TowerPoint,
     TowerValue,
     UsageError,
+    create_instance,
+    preset,
+    presentation_from_config,
 )
 from pseudoquotients.core import (
     MAX_SHOWN_BITS,
@@ -229,3 +232,37 @@ def test_require_object_names_the_first_unknown_key():
     with pytest.raises(DomainError) as caught:
         require_object({"a": 1, "z": 2, "y": 3}, "widget key", ("a", "b"))
     assert str(caught.value) == "unknown widget key 'z'; expected one of a, b"
+
+
+
+LONG = 10**1000  # 3322 bits; its repr has 1001 digits
+LONG_VALUE_MESSAGES = {
+    "instance-name": (
+        lambda: create_instance(LONG), "unknown instance an integer of 3322 bits; choose one of "
+    ),
+    "preset-name": (
+        lambda: presentation_from_config({"preset": LONG}),
+        "unknown preset an integer of 3322 bits; choose one of ",
+    ),
+    "config-label": (
+        lambda: presentation_from_config(
+            {"domain": "int", "generators": [{"name": "g"}], "samples": [1], "label": LONG}
+        ),
+        "label must be a JSON string, got an integer of 3322 bits",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", LONG_VALUE_MESSAGES.values(), ids=LONG_VALUE_MESSAGES)
+def test_names_and_labels_name_a_long_integer_by_its_size(build, message):
+    with pytest.raises(DomainError) as caught:
+        build()
+    assert str(caught.value).startswith(message)
+    assert len(str(caught.value)) < 200
+
+
+def test_unknown_names_keep_the_repr_of_a_short_value():
+    with pytest.raises(DomainError, match=r"^unknown preset 'nope'; "):
+        preset("nope")
+    with pytest.raises(DomainError, match=r"^unknown instance \['x'\]; "):
+        create_instance(["x"])
