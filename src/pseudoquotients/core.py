@@ -201,6 +201,13 @@ class Instance(ABC):
     constructor instead, each under a named invariant of its algebra
     that makes the result valid.  ``_check_element`` and ``_check_point``
     still guard every hook's inputs.
+
+    An instance may also override a derived method of the calculus
+    (``extend_apply``, ``extend_inverse_apply``, ``frac_compose``) with a
+    closed form that returns an equivalent result, such as a normal form
+    of the class or fraction.  The method here then stays its test
+    oracle: called as ``Instance.extend_apply(instance, g, p)``, it takes
+    the generic Ore route.
     """
 
     name: str = "abstract"

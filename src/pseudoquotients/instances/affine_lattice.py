@@ -13,13 +13,25 @@ rational inverses makes every witness entry an integer by construction.
 One fraction-free Gauss-Jordan pass gives a determinant and its adjugate
 together; it is the only elimination here, and also validates each map.
 Classes are identified with rational vectors: the class of
-``(x, (M, b))`` is the exact solution ``M^-1 (x - b)`` in ``Q^n``.
+``(x, (M, b))`` is the exact solution ``M^-1 (x - b)`` in ``Q^n``.  Its
+normal form is ``pq(y; (D I, 0))`` with ``D > 0`` and ``gcd(D, y) == 1``,
+the class ``y / D``; ``extend_apply``, ``extend_inverse_apply`` and
+``frac_apply`` return it.
 
 A fraction ``(A, a)^-1 o (B, b)`` is the rational affine map
 ``x -> A^-1 (B x + b - a)``.  Its normal form writes that map over the
 least common denominator ``D > 0`` of its entries, as
 ``(D I, 0)^-1 o (N, v)`` with ``gcd(D, N, v) == 1``; composed fractions are
 kept in this form, so a chain of compositions stays as small as its result.
+
+On these forms the derived calculus has closed forms, which override the
+generic Ore route of :class:`~pseudoquotients.core.Instance` (kept there as
+the tests' oracle).  ``(N, v)`` moves the class ``y / D`` to
+``(N y + D v) / D``, with no elimination; ``x / f`` moves back to
+``x / (f g)``, read off with one :func:`det_adjugate`; and two maps
+``(N, v) / D`` compose to ``(N1 N2, N1 v2 + D2 v1) / (D1 D2)``.  Each is
+brought to lowest terms by one gcd.  Reading a pair whose matrix is a
+scalar ``c I``, as every normal form's is, costs no elimination.
 
 Text syntax: an element ``aff([[2,0],[0,1]],[1,0])`` (matrix rows, then
 the offset vector), a point ``[5,0]``.
@@ -30,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -120,6 +133,25 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def scalar_of(matrix) -> int:
+    """``c`` if the matrix is ``c I`` with ``c != 0``, else 0."""
+    n = len(matrix)
+    flat = tuple(chain.from_iterable(matrix))
+    c = flat[0]
+    # with c != 0 on the diagonal, n^2 - n zeros are exactly the off-diagonal entries
+    if c and flat.count(0) == n * n - n and flat[:: n + 1].count(c) == n:
+        return c
+    return 0
+
+
+def lowest_terms(d: int, vector: Vector, matrix: Matrix = ()) -> tuple[int, Vector, Matrix]:
+    """``(d, vector, matrix)`` divided by their gcd, signed so that the new ``d`` is positive."""
+    g = math.gcd(d, *vector, *chain.from_iterable(matrix))
+    if d < 0:
+        g = -g
+    return d // g, tuple(c // g for c in vector), tuple(tuple(e // g for e in r) for r in matrix)
+
+
 # ----------------------------------------------------------------------
 # the instance
 # ----------------------------------------------------------------------
@@ -180,6 +212,10 @@ class AffineLattice(Instance):
     def __init__(self, dim: int = 1):
         self.dim = require_int(dim, "dimension", 1)
 
+    @cached_property
+    def _identity(self) -> Matrix:
+        return identity_matrix(self.dim)
+
     @classmethod
     def create(cls, dim: int = 1) -> AffineLattice:
         return cls(dim)
@@ -224,6 +260,43 @@ class AffineLattice(Instance):
             AffineLatticeMap._unchecked(mat_scale(adj1, m2), g_offset),
         )
 
+    # --- the normal forms and the closed forms on them -----------------
+
+    def _read_off(self, f: AffineLatticeMap, x: Vector, matrix: Matrix = ()):
+        """``(d, P (x - b), P matrix)``, where ``P / d == M^-1`` for ``f = (M, b)``.
+
+        So ``f^-1(x) == P (x - b) / d``, and ``f^-1 o (matrix, x)`` is the map
+        ``(P matrix, P (x - b)) / d``.  A scalar ``M == c I`` is read as
+        ``P = I`` and ``d = c``; any other ``M`` costs one :func:`det_adjugate`.
+        """
+        m = self._check_element(f).matrix
+        shifted = tuple(a - b for a, b in zip(x, f.offset))
+        c = scalar_of(m)
+        if c:
+            return c, shifted, matrix
+        d, adj = det_adjugate(m)
+        return d, mat_vec(adj, shifted), mat_mul(adj, matrix) if matrix else matrix
+
+    def _scalar(self, d: int) -> AffineLatticeMap:
+        # the denominator (d I, 0) of a normal form: d > 0, so det = d^n != 0
+        return AffineLatticeMap._unchecked(mat_scale(self._identity, d), (0,) * self.dim)
+
+    def _normal_pq(self, d: int, y: Vector) -> Pseudoquotient:
+        """``pq(y; (D I, 0))`` for the class ``y / d``, in lowest terms with ``D > 0``."""
+        d, y, _ = lowest_terms(d, y)
+        return Pseudoquotient(y, self._scalar(d))
+
+    def _normal_fraction(self, d: int, v: Vector, n: Matrix) -> GroupFraction:
+        """``(D I, 0)^-1 o (N, v)`` for the map ``x -> (n x + v) / d``, in lowest terms."""
+        d, v, n = lowest_terms(d, v, n)
+        # det(n / g) != 0, since n is nonsingular
+        return GroupFraction(self._scalar(d), AffineLatticeMap._unchecked(n, v))
+
+    def _map_of(self, frac: GroupFraction) -> tuple[int, Vector, Matrix]:
+        """``(d, v, N)`` with ``den^-1 o num`` the map ``x -> (N x + v) / d``."""
+        num = self._check_element(frac.num)
+        return self._read_off(frac.den, num.offset, num.matrix)
+
     def reduce_fraction(self, frac: GroupFraction) -> GroupFraction:
         """The lowest-terms fraction ``(D I, 0)^-1 o (N, v)`` of the map ``x -> (N x + v) / D``.
 
@@ -232,36 +305,49 @@ class AffineLattice(Instance):
         denominator ``D > 0`` of its entries it is unique, so two fractions
         denote one bijection exactly when their reductions are equal.
         """
-        den = self._check_element(frac.den)
-        num = self._check_element(frac.num)
-        det, adj = det_adjugate(den.matrix)
-        matrix = mat_mul(adj, num.matrix)
-        offset = mat_vec(adj, tuple(b - a for b, a in zip(num.offset, den.offset)))
-        g = math.gcd(det, *chain.from_iterable(matrix), *offset)
-        if det < 0:
-            g = -g
-        # D = det / g > 0, and det(N / g) != 0 since N = adj(A) B is nonsingular
-        return GroupFraction(
-            AffineLatticeMap._unchecked(
-                mat_scale(identity_matrix(self.dim), det // g), (0,) * self.dim
-            ),
-            AffineLatticeMap._unchecked(
-                tuple(tuple(e // g for e in row) for row in matrix), tuple(c // g for c in offset)
-            ),
-        )
+        return self._normal_fraction(*self._map_of(frac))
 
     def canonical_value(self, p: Pseudoquotient) -> tuple[Fraction, ...]:
         """The exact rational solution ``M^-1 (x - b)`` of ``M xi + b = x``."""
-        f = self._check_element(p.denominator)
-        x = self._check_point(p.numerator)
-        det, adj = det_adjugate(f.matrix)
-        numerators = mat_vec(adj, tuple(a - b for a, b in zip(x, f.offset)))
-        return tuple(Fraction(c, det) for c in numerators)
+        d, y, _ = self._read_off(p.denominator, self._check_point(p.numerator))
+        return tuple(Fraction(c, d) for c in y)
+
+    def extend_apply(self, g: AffineLatticeMap, p: Pseudoquotient) -> Pseudoquotient:
+        """``g = (N, v)`` moves the class ``y / D`` to ``(N y + D v) / D``, in normal form.
+
+        Free of elimination when ``p`` is a normal form; reading any other
+        ``p`` off costs one :func:`det_adjugate`.
+        """
+        d, y, _ = self._read_off(p.denominator, self._check_point(p.numerator))
+        self._check_element(g)
+        # N y + D v is the action of (N, D v), whose matrix is g's
+        moved = self.apply(AffineLatticeMap._unchecked(g.matrix, tuple(d * c for c in g.offset)), y)
+        return self._normal_pq(d, moved)
+
+    def extend_inverse_apply(self, g: AffineLatticeMap, p: Pseudoquotient) -> Pseudoquotient:
+        """``x / f -> x / (f g)``, in normal form: one :func:`det_adjugate` reads it off."""
+        d, y, _ = self._read_off(self.compose(p.denominator, g), self._check_point(p.numerator))
+        return self._normal_pq(d, y)
+
+    def frac_compose(self, first: GroupFraction, second: GroupFraction) -> GroupFraction:
+        """The maps ``(N1, v1) / D1 o (N2, v2) / D2 = (N1 N2, N1 v2 + D2 v1) / (D1 D2)``.
+
+        The product comes out in normal form.  Reading a fraction as its map
+        costs one :func:`det_adjugate`, and none for a normal form.
+        """
+        d1, v1, n1 = self._map_of(first)
+        d2, v2, n2 = self._map_of(second)
+        # N1 and N2 are nonsingular: the product is the composition (N1, D2 v1) o (N2, v2)
+        product = self.compose(
+            AffineLatticeMap._unchecked(n1, tuple(d2 * c for c in v1)),
+            AffineLatticeMap._unchecked(n2, v2),
+        )
+        return self._normal_fraction(d1 * d2, product.offset, product.matrix)
 
     @property
     def designated_element(self) -> AffineLatticeMap:
         # det I = 1
-        return AffineLatticeMap._unchecked(identity_matrix(self.dim), (0,) * self.dim)
+        return AffineLatticeMap._unchecked(self._identity, (0,) * self.dim)
 
     def random_element(self, rng: random.Random) -> AffineLatticeMap:
         while True:

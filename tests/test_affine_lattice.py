@@ -1,6 +1,7 @@
-"""Integer affine instance: adjugate/determinant oracles, witness formulas, fraction normal form."""
+"""Integer affine instance: det/adjugate oracles, witness formulas, normal and closed forms."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from pseudoquotients import (
     Pseudoquotient,
     UsageError,
 )
+from pseudoquotients.core import Instance
 from pseudoquotients.instances.affine_lattice import (
     adjugate,
     det_adjugate,
@@ -385,3 +387,144 @@ def test_24_step_chains_stay_small_and_exact(dim, rng):
         for frac in fracs[1:]:
             expected = rational_compose(expected, rational_map(frac))
         assert rational_map(chain) == expected
+
+
+# ---------------------------------------------------------------------
+# closed forms on normal forms, against the generic Ore route
+# ---------------------------------------------------------------------
+
+
+def scalar_map(dim, d):
+    return AffineLatticeMap(mat_scale(identity_matrix(dim), d), (0,) * dim)
+
+
+def is_normal(af, p):
+    """``p`` is ``pq(y; (D I, 0))`` with ``D > 0`` and ``gcd(D, y) == 1``."""
+    d = p.denominator.matrix[0][0]
+    return d > 0 and p.denominator == scalar_map(af.dim, d) and math.gcd(d, *p.numerator) == 1
+
+
+def check_class(af, result, oracle):
+    assert is_normal(af, result)
+    assert Instance.pq_equivalent(af, result, oracle)
+    assert af.canonical_value(result) == af.canonical_value(oracle)
+    # idempotent: the identity moves a normal form to itself
+    e = af.designated_element
+    assert af.extend_apply(e, result) == result
+    assert af.extend_inverse_apply(e, result) == result
+    assert af.frac_apply(af.frac_identity(), result) == result
+
+
+def check_against_oracles(af, g, p, frac, other):
+    check_class(af, af.extend_apply(g, p), Instance.extend_apply(af, g, p))
+    check_class(af, af.extend_inverse_apply(g, p), Instance.extend_inverse_apply(af, g, p))
+    check_class(af, af.frac_apply(frac, p), Instance.frac_apply(af, frac, p))
+    # the normal form of a fraction is unique: equal field for field
+    assert af.frac_compose(frac, other) == Instance.frac_compose(af, frac, other)
+    assert af.frac_compose(other, frac) == Instance.frac_compose(af, other, frac)
+
+
+def upper(dim, diagonal, offset, shear=0):
+    """The map with ``diagonal`` on its diagonal, ``shear`` just above it, and ``offset``."""
+    matrix = tuple(
+        tuple(diagonal[i] if j == i else shear if j == i + 1 else 0 for j in range(dim))
+        for i in range(dim)
+    )
+    return AffineLatticeMap(matrix, offset[:dim])
+
+
+# (point, diagonal, offset, shear) of a class x / f, cut to the dimension
+HAND_CLASSES = (
+    ((2, 4, 6), (2, 2, 2), (0, 0, 0), 0),  # 2-D: pq([2,4]; aff([[2,0],[0,2]],[0,0]))
+    ((4, 6, 8), (-2, -2, -2), (0, 0, 0), 0),  # a negative scalar
+    ((3, -1, 2), (-3, 1, 2), (1, 2, 3), 1),  # a negative determinant
+    ((5, 1, -1), (3, 3, 3), (2, 1, -1), 0),  # a scalar with an offset
+    ((5, -7, 0), (1, 1, 1), (0, 0, 0), 0),  # the identity
+)
+HAND_ELEMENTS = (
+    ((1, 1, 1), (0, 0, 0), 0),
+    ((-3, 1, 2), (1, 2, 3), 1),
+    ((2, 2, 2), (3, -1, 4), 0),
+    ((-3, -3, -3), (0, 0, 0), 0),
+    ((1, 1, 1), (3, 0, 0), 2),
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_forms_match_the_ore_route_on_hand_cases(dim):
+    af = AffineLattice(dim)
+    elements = [upper(dim, *shape) for shape in HAND_ELEMENTS]
+    for x, *shape in HAND_CLASSES:
+        p = Pseudoquotient(x[:dim], upper(dim, *shape))
+        for g in elements:
+            for h in elements:
+                check_against_oracles(af, g, p, GroupFraction(g, h), GroupFraction(h, g))
+
+
+def test_hand_case_values():
+    af = AffineLattice(2)
+    # 2/2 and 4/2 is the class (1, 2) over 1
+    p = Pseudoquotient((2, 4), scalar_map(2, 2))
+    assert af.extend_apply(af.designated_element, p) == Pseudoquotient((1, 2), scalar_map(2, 1))
+    # (-2 I)^-1 (4, 6) = (-2, -3): the sign moves off D
+    p = Pseudoquotient((4, 6), scalar_map(2, -2))
+    assert af.extend_apply(af.designated_element, p) == Pseudoquotient((-2, -3), scalar_map(2, 1))
+    # the frozen CLI example: (2, 0) moved by aff([[1,2],[0,1]],[3,0])
+    p = Pseudoquotient((5, 0), AffineLatticeMap(((2, 0), (0, 1)), (1, 0)))
+    g = AffineLatticeMap(((1, 2), (0, 1)), (3, 0))
+    assert af.extend_apply(g, p) == Pseudoquotient((5, 0), scalar_map(2, 1))
+    # x / (f g) for g = 2x + 1 in 1-D: (5 - 1)/2 = 2, then (2 - 1)/2
+    af1 = AffineLattice(1)
+    q = af1.extend_inverse_apply(AffineLatticeMap(((2,),), (1,)), af1.embed((2,)))
+    assert q == Pseudoquotient((1,), scalar_map(1, 2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_forms_match_the_ore_route_on_random_chains(dim, rng):
+    af = AffineLattice(dim)
+    for _ in range(8):
+        p = af.random_pseudoquotient(rng)
+        frac = af.random_fraction(rng)
+        for _ in range(6):
+            g, other = af.random_element(rng), af.random_fraction(rng)
+            check_against_oracles(af, g, p, frac, other)
+            # continue from normal forms as well as raw ones
+            p = af.frac_apply(other, p) if rng.random() < 0.7 else af.random_pseudoquotient(rng)
+            frac = af.frac_compose(frac, other) if rng.random() < 0.7 else af.random_fraction(rng)
+
+
+def representative_bits(p):
+    return max(abs(e).bit_length() for e in (*p.numerator, p.denominator.matrix[0][0]))
+
+
+def common_denominator_bits(value):
+    """Bits of the rational vector written over the least common denominator of its entries."""
+    d = math.lcm(*(c.denominator for c in value))
+    numerators = (c.numerator * (d // c.denominator) for c in value)
+    return max(d.bit_length(), *(abs(c).bit_length() for c in numerators))
+
+
+def entry_bits(value):
+    return max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in value)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("step", ["extend_apply", "frac_apply"])
+def test_100_step_chains_stay_as_small_as_their_classes(dim, seed, step):
+    af = AffineLattice(dim)
+    rng = random.Random(seed)
+    draw = af.random_element if step == "extend_apply" else af.random_fraction
+    moves = [draw(rng) for _ in range(100)]
+    p = af.random_pseudoquotient(rng)
+    elapsed = 0.0
+    for move in moves:
+        start = time.perf_counter()
+        p = getattr(af, step)(move, p)
+        elapsed += time.perf_counter() - start
+        value = af.canonical_value(p)
+        # the normal form is the class over its least common denominator,
+        # which has at most dim times the bits of the largest entry
+        assert representative_bits(p) == common_denominator_bits(value)
+        assert representative_bits(p) <= dim * entry_bits(value)
+    assert elapsed < 1.0

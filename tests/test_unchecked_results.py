@@ -2,10 +2,12 @@
 
 ``compose``, ``ore_complete``, ``reduce_fraction`` and ``designated_element``
 build their elements through a private unchecked constructor, relying on
-invariants of each instance's algebra.  Rebuilt from its fields through the
-public constructor, which validates and normalizes, every such element must
-come back equal and with the same hash: a result that broke an invariant
-would be refused, or normalized into a different value.
+invariants of each instance's algebra; so do the affine lattice's closed
+forms of ``extend_apply``, ``extend_inverse_apply`` and ``frac_compose``.
+Rebuilt from its fields through the public constructor, which validates
+and normalizes, every such element must come back equal and with the same
+hash: a result that broke an invariant would be refused, or normalized
+into a different value.
 """
 
 from dataclasses import fields
@@ -44,6 +46,10 @@ def hook_results(instance, rng):
             reduced = instance.reduce_fraction(GroupFraction(f, g))
             frac = instance.frac_compose(frac, GroupFraction(f, g))
             yield from (h, w.f_prime, w.g_prime, reduced.den, reduced.num, frac.den, frac.num)
+            # class representatives, each moved from the last
+            p = instance.extend_apply(f, instance.random_pseudoquotient(rng))
+            p = instance.extend_inverse_apply(g, p)
+            yield from (p.denominator, instance.frac_apply(frac, p).denominator)
             f, g = w.g_prime, instance.compose(g, instance.random_element(rng))
 
 
@@ -73,6 +79,24 @@ def test_reduced_affine_denominator_is_a_positive_scalar(dim, rng):
             assert scale > 0
             assert reduced.den == AffineLatticeMap(mat_scale(identity_matrix(dim), scale), (0,) * dim)
             frac = af.frac_compose(reduced, af.random_fraction(rng))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_affine_class_denominator_is_a_positive_scalar(dim, rng):
+    # the invariant behind the unchecked class results: pq(y; (D I, 0)) with D > 0
+    af = AffineLattice(dim)
+    for _ in range(TRIALS):
+        p = af.random_pseudoquotient(rng)
+        for _ in range(CHAIN):
+            g, frac = af.random_element(rng), af.random_fraction(rng)
+            for q in (af.extend_apply(g, p), af.extend_inverse_apply(g, p), af.frac_apply(frac, p)):
+                scale = q.denominator.matrix[0][0]
+                assert scale > 0
+                scalar = AffineLatticeMap(mat_scale(identity_matrix(dim), scale), (0,) * dim)
+                assert q.denominator == scalar
+                again = rebuilt(q.denominator)
+                assert again == q.denominator and hash(again) == hash(q.denominator)
+            p = q
 
 
 @pytest.mark.parametrize(
