@@ -10,11 +10,14 @@ Four subcommands::
 Output is JSON by default (``--output text`` for a plain rendering); all
 rational numbers are exact ``"p/q"`` strings.  Exit codes: 0 success,
 1 domain error, 2 syntax error, 3 verifier counterexample found.
+``main(argv)`` may be called many times in one process; it builds its
+argument parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -85,6 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--config", help="JSON presentation config file")
     verify_cmd.add_argument("--depth", type=int, help="word-length bound override")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first request, not at import; parse_args leaves it unchanged
+    return build_parser()
 
 
 def _instance_for(name: str, *values):
@@ -161,7 +170,14 @@ def _cmd_verify(args) -> int:
         raise DomainError("verify needs exactly one of a preset name or --config")
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            try:
+                config = json.load(handle)
+            except UnicodeDecodeError as error:
+                raise DomainError(
+                    f"config file is not UTF-8 text: {error.reason} at byte {error.start}"
+                ) from None
+            except RecursionError:
+                raise DomainError("config file nests JSON arrays or objects too deeply") from None
     else:
         config = {"preset": args.preset}
     if args.depth is not None and isinstance(config, dict):
@@ -172,8 +188,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "normalize": _cmd_normalize,
         "equiv": _cmd_equiv,

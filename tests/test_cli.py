@@ -271,6 +271,51 @@ def test_other_value_errors_are_not_masked(capsys, monkeypatch):
         main(["normalize", "--instance", "tower", "pq((1,2); F)"])
 
 
+# config files json.load cannot read; both used to escape as a traceback
+UNREADABLE_CONFIGS = {
+    "not-utf-8": (b"\xff\xfe{}", "config file is not UTF-8 text: invalid start byte at byte 0"),
+    "nested-100000-deep": (b"[" * 100_000, "config file nests JSON arrays or objects too deeply"),
+}
+
+
+@pytest.mark.parametrize("content, message", UNREADABLE_CONFIGS.values(), ids=UNREADABLE_CONFIGS)
+def test_unreadable_configs_exit_1(capsys, tmp_path, content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    expected = (1, "", f"domain error: {message}\n")
+    assert run(capsys, "verify", "--config", str(path)) == expected
+    done = run_module("verify", "--config", str(path))
+    assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+def test_requests_in_one_process_build_the_parser_once(capsys, monkeypatch):
+    builds = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or original())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(20):
+            assert run(capsys, "normalize", "--instance", "power-affine", "pq(12; 3*x^2)")[0] == 0
+    finally:
+        cli._parser.cache_clear()  # the next test builds from the real build_parser
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_parser_main_does_not_share(capsys):
+    argv = ("normalize", "--instance", "power-affine", "pq(12; 3*x^2)")
+    before = run(capsys, *argv)
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser() and parser is not cli._parser()
+    parser.set_defaults(output="text")
+    parser.prog = "changed"
+    assert parser.parse_args(argv).output == "text"
+    assert run(capsys, *argv) == before
+    assert json.loads(before[1])["instance"] == "power-affine"
+    with pytest.raises(SystemExit):
+        main(["normalize", "--instance", "bogus", "pq(1; x)"])
+    assert capsys.readouterr().err.startswith("usage: pseudoquotients normalize ")
+
+
 def _int_config(**changes):
     config = {
         "domain": "int",

@@ -11,6 +11,7 @@ repository root and rewrites the file.
 import io
 import json
 import os
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -121,6 +122,28 @@ def test_cli_matches_golden(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
     entry = _golden()[argv]
     assert run_cli(argv) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
+def test_one_process_replays_the_corpus_byte_for_byte(monkeypatch):
+    """``main`` shares one parser between requests; nothing leaks from one to the next."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(ROOT)
+    golden = _golden()
+    pq = SAMPLES["tower"][0]
+    rejected = ("normalize", "--instance", "bogus", "pq(1; x)")
+    # a flag given after the subcommand, then the same request without it
+    trailing_text = [
+        (("normalize", "--instance", "tower", pq, "--output", "text"),
+         golden[("--output", "text", "normalize", "--instance", "tower", pq)]),
+        (("normalize", "--instance", "tower", pq),
+         golden[("--output", "json", "normalize", "--instance", "tower", pq)]),
+    ]
+    order = REQUESTS * 2
+    random.Random(14).shuffle(order)
+    for index, argv in enumerate(order):
+        interlude = trailing_text if index % 2 else [(rejected, golden[rejected])]
+        for request, entry in [*interlude, (argv, golden[argv])]:
+            assert run_cli(request) == (entry["code"], entry["stdout"], entry["stderr"]), request
 
 
 if __name__ == "__main__":
