@@ -29,18 +29,30 @@ computed from the shorter word's action; words with equal actions on that
 base collapse to the first of them in word order, which is the one any
 result reports.  A search therefore costs one generator call per distinct
 (generator, point) pair and one table lookup per base point of each
-distinct action, not words x letters x samples.  For cancellation the
-base is the samples followed by their images under ``g``, one base for
-each distinct action of ``g``.  Each base also remembers up to which
-word length no two actions share their part on ``g``'s images while
-differing on the samples; pairs of lengths within it hold no
-counterexample and are skipped without a scan.  Nothing is kept between
-calls.
+distinct action, not words x letters x samples.
+
+For cancellation a word ``g`` needs the base of the samples followed by
+their images under ``g``.  The bases of all ``g`` of one length share
+one union base: the samples, then every other point of those images.
+Layers are built on the union only, and each base reads its actions off
+it by position.  A base is split-free through a length ``L`` when no two
+words up to ``L`` agree on ``g``'s images (the tail) while differing on
+the samples (the head); that holds exactly when the union actions of
+lengths ``1..L`` give as many tails as (head, tail) pairs, two set
+sizes.  Pairs of lengths within it hold no counterexample, and pairs
+within the length through which every base of ``g``'s length is
+split-free are skipped outright.  Only a base that splits gets layers of
+its own, projected from the union's in order, so each action keeps its
+first word.  The union visits the same (generator, point) pairs as the
+bases would one by one, so generator calls and reports are unchanged.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Callable
 
 from .core import DomainError, UsageError, require_int, require_object, value_text
@@ -187,8 +199,6 @@ class _Search:
         self._ids: dict[Any, int] = {}
         self._points: list = []
         self._layers: dict[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]] = {}
-        self._by_tail: dict[tuple[tuple[int, ...], int], dict] = {}
-        self._heads: dict[tuple[int, ...], tuple[int, dict | None]] = {}
         self.samples = tuple(self._intern(p) for p in presentation.sample_points)
 
     def _intern(self, point) -> int:
@@ -235,35 +245,90 @@ class _Search:
             layers.append(layer)
         return layers[length]
 
-    def _split_free(self, base: tuple[int, ...], n: int, length: int) -> bool:
-        """Whether no two words of lengths ``1..length`` give two heads to one tail on ``base``.
 
-        A word's head is its action on ``base[:n]`` and its tail its action
-        on ``base[n:]``.  Per base, the longest split-free run of lengths is
-        kept with each tail's one head, and grows only over layers already
-        built.
+class _Bases:
+    """The cancellation bases ``samples + g(samples)`` of the words ``g`` of one length.
+
+    Word layers are built once, on a union base: the samples, then every
+    other point of the images of the words ``g``.  Base ``i`` reads off it
+    through ``fulls[i]`` (the positions of its samples, then of its
+    images) and ``tails[i]`` (those of its images).  A base is split-free
+    through a length when no two actions of the words up to it share a
+    tail with two heads; ``free[i]`` is how far that is known to hold,
+    and ``split[i]`` whether it stops there.
+    """
+
+    def __init__(self, search: _Search, length: int):
+        self.search = search
+        samples = search.samples
+        self.words = search.layer(samples, length)  # g by its images of the samples
+        at: dict[int, int] = {}
+        union = list(samples)
+        for i, pid in enumerate(samples):
+            at.setdefault(pid, i)
+        for image in self.words:
+            for pid in image:
+                if pid not in at:
+                    at[pid] = len(union)
+                    union.append(pid)
+        self.union = tuple(union)
+        heads = [at[pid] for pid in samples]
+        self.tails = [itemgetter(*map(at.__getitem__, image)) for image in self.words]
+        self.fulls = [itemgetter(*heads, *map(at.__getitem__, image)) for image in self.words]
+        self.free = [0] * len(self.words)
+        self.split = [False] * len(self.words)
+        self.all_free = 0  # every base is split-free through this length
+        # the distinct union actions in order of length, and how many have length <= k
+        self._seen: dict[tuple[int, ...], None] = {}
+        self._ends = [0]
+        self._layers: dict[int, list[dict[tuple[int, ...], tuple[int, ...]]]] = {}
+        self._by_tail: dict[tuple[int, int], dict] = {}
+
+    def _free_through(self, i: int, length: int) -> bool:
+        """Whether base ``i`` is split-free through ``length``; ``free[i]`` grows one at a time.
+
+        Every action on base ``i`` is ``fulls[i]`` of one on the union, so
+        the distinct union actions of lengths ``1..k`` give as many tails as
+        (head, tail) pairs exactly when each tail has one head.  Their count
+        bounds both, so all tails distinct settles it with one set.
         """
-        free, heads = self._heads.get(base, (0, {}))
-        layers = self._layers[base]
-        while free < length and heads is not None:
-            for action in layers[free + 1]:
-                if heads.setdefault(action[n:], action[:n]) != action[:n]:
-                    heads = None  # a split among the lengths up to free + 1
-                    break
+        tail, full = self.tails[i], self.fulls[i]
+        while self.free[i] < length and not self.split[i]:
+            k = self.free[i] + 1
+            while len(self._ends) <= k:  # the union actions of one more length
+                self._seen.update(dict.fromkeys(self.search.layer(self.union, len(self._ends))))
+                self._ends.append(len(self._seen))
+            count = self._ends[k]
+            tails = len(set(map(tail, islice(self._seen, count))))
+            if tails == count or tails == len(set(map(full, islice(self._seen, count)))):
+                self.free[i] = k
             else:
-                free += 1
-        self._heads[base] = free, heads
-        return free >= length
+                self.split[i] = True
+        return self.free[i] >= length
 
-    def first_split(self, base: tuple[int, ...], n: int, len1: int, len2: int):
-        """The first ``(f1, f2)`` of lengths ``len1, len2`` agreeing only on ``base[n:]``."""
-        second = self.layer(base, len2)
-        first = self.layer(base, len1)
-        if self._split_free(base, n, max(len1, len2)):
-            return None
-        by_tail = self._by_tail.get((base, len2))
+    def layer(self, i: int, length: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """``search.layer(samples + image, length)`` for base ``i``, projected from the union.
+
+        The union layer comes in the order of its first words, so the first
+        union word to reach an action on the base is that action's first word.
+        """
+        full = self.fulls[i]
+        layers = self._layers.setdefault(i, [{full(self.union): ()}])
+        while len(layers) <= length:
+            layer: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for action, word in self.search.layer(self.union, len(layers)).items():
+                layer.setdefault(full(action), word)
+            layers.append(layer)
+        return layers[length]
+
+    def _first_split(self, i: int, len1: int, len2: int):
+        """The first ``(f1, f2)`` of lengths ``len1, len2`` agreeing only on base ``i``'s images."""
+        n = len(self.search.samples)
+        second = self.layer(i, len2)
+        first = self.layer(i, len1)
+        by_tail = self._by_tail.get((i, len2))
         if by_tail is None:
-            by_tail = self._by_tail[base, len2] = {}
+            by_tail = self._by_tail[i, len2] = {}
             for action in second:
                 by_tail.setdefault(action[n:], []).append(action)
         for action, f1 in first.items():
@@ -271,6 +336,20 @@ class _Search:
                 if other[:n] != action[:n]:
                     return f1, second[other]
         return None
+
+    def counterexamples(self, len1: int, len2: int) -> list:
+        """Each base's first ``(f1, f2, g)`` with ``f1, f2`` of lengths ``len1, len2``."""
+        length = max(len1, len2)
+        if length <= self.all_free:
+            return []
+        found = []
+        for i, g in enumerate(self.words.values()):
+            if not self._free_through(i, length):
+                pair = self._first_split(i, len1, len2)
+                if pair is not None:
+                    found.append((*pair, g))
+        self.all_free = min(self.free)
+        return found
 
 
 def verify_injectivity(
@@ -299,8 +378,22 @@ def search_ore_witness(
 
     Pairs are tried in order of total length, then length of ``w1``, then
     the declared generator order; ``None`` means no witness within the
-    bound, which is a result rather than an error.
+    bound, which is a result rather than an error.  ``f`` and ``g`` must be
+    non-empty tuples or lists of declared generator names.
     """
+    names = presentation.names
+    for what, word in (("f", f), ("g", g)):
+        if not isinstance(word, (tuple, list)) or not word:
+            raise DomainError(
+                f"Ore search word {what} must be a non-empty tuple or list of generator names, "
+                f"got {value_text(word)}"
+            )
+        for name in word:
+            if name not in names:
+                raise DomainError(
+                    f"unknown generator {value_text(name)} in Ore search word {what}; "
+                    f"declared: {', '.join(map(str, names))}"
+                )
     search = _search or _Search(presentation)
     depth = presentation.max_depth
     base_f = search.act(f, search.samples)
@@ -327,21 +420,19 @@ def verify_right_cancellation(
     """
     search = _search or _Search(presentation)
     depth = presentation.max_depth
-    samples = search.samples
+    bases: dict[int, _Bases] = {}
     for total in range(3, 3 * depth + 1):
         for len1 in range(1, depth + 1):
             for len2 in range(1, depth + 1):
                 len3 = total - len1 - len2
                 if not 1 <= len3 <= depth:
                     continue
+                if len3 not in bases:
+                    bases[len3] = _Bases(search, len3)
                 # With words collapsed by their action on the samples followed
                 # by g's images, the first word of each action is the first
                 # in word order, so the least triple is among these.
-                candidates = []
-                for image, g in search.layer(samples, len3).items():
-                    pair = search.first_split(samples + image, len(samples), len1, len2)
-                    if pair is not None:
-                        candidates.append((*pair, g))
+                candidates = bases[len3].counterexamples(len1, len2)
                 if candidates:
                     f1, f2, g = map(search.spell, min(candidates))
                     return CancellationResult(False, f1, f2, g)

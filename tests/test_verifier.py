@@ -17,6 +17,7 @@ from pseudoquotients import (
     verify,
     verify_injectivity,
     verify_right_cancellation,
+    verifier,
 )
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "cancellation_fail.json"
@@ -207,6 +208,29 @@ def test_config_validation_errors():
         )
 
 
+def test_ore_search_rejects_an_unknown_generator():
+    with pytest.raises(DomainError, match="unknown generator 'zz' in Ore search word f"):
+        search_ore_witness(preset("tower", 3), ("zz",), ("F",))
+
+
+def test_ore_search_rejects_a_string_word():
+    # a string would be read letter by letter, as the unknown generator '1'
+    with pytest.raises(DomainError, match="Ore search word g must be .* got 'P1'"):
+        search_ore_witness(preset("tower", 3), ("F",), "P1")
+
+
+def test_ore_search_rejects_the_empty_word():
+    with pytest.raises(DomainError, match=r"Ore search word f must be .* got \(\)"):
+        search_ore_witness(preset("tower", 3), (), ("F",))
+    with pytest.raises(DomainError, match=r"Ore search word g must be .* got \[\]"):
+        search_ore_witness(preset("tower", 3), ("F",), [])
+
+
+def test_ore_search_takes_lists_of_names():
+    p = preset("tower", 3)
+    assert search_ore_witness(p, ["F"], ["P1"]) == search_ore_witness(p, ("F",), ("P1",))
+
+
 def test_report_json_shape():
     report = verify(preset("dyadic-steps", 3)).to_json()
     assert report["bounded"] is True
@@ -221,3 +245,61 @@ def test_report_json_shape():
         "cancellation",
         "validated",
     }
+
+
+# ----------------------------------------------------------------------
+# the shape of the cancellation search
+# ----------------------------------------------------------------------
+
+
+def _layer_bases(monkeypatch):
+    """The bases ``verify`` builds word layers on, and the searches it makes."""
+    bases, searches = set(), []
+
+    class Recording(verifier._Search):
+        def __init__(self, presentation):
+            super().__init__(presentation)
+            searches.append(self)
+
+        def layer(self, base, length):
+            bases.add(base)
+            return super().layer(base, length)
+
+    monkeypatch.setattr(verifier, "_Search", Recording)
+    return bases, searches
+
+
+def _ore_bases(search):
+    return {search.act((name,), search.samples) for name in search.names}
+
+
+def test_cancellation_builds_one_union_base_per_g_length(monkeypatch):
+    bases, searches = _layer_bases(monkeypatch)
+    report = verify(preset("affine-lattice-2d", 6))
+    # a base that splits through the depth holds a counterexample, so a pass has none
+    assert report.cancellation.ok
+    (search,) = searches
+    # the samples, the Ore bases, and one union base for each length of g
+    assert len(bases) <= 1 + len(_ore_bases(search)) + 6
+    # against one base for each of the 78 distinct actions of g on the samples
+    images = set().union(*(search.layer(search.samples, n) for n in range(1, 7)))
+    assert len(images) == 78
+
+
+def test_cancellation_builds_own_layers_only_for_split_bases(monkeypatch):
+    bases, searches = _layer_bases(monkeypatch)
+    made = []
+
+    class Recording(verifier._Bases):
+        def __init__(self, search, length):
+            super().__init__(search, length)
+            made.append(self)
+
+    monkeypatch.setattr(verifier, "_Bases", Recording)
+    report = verify(preset("tower", 6))
+    assert not report.cancellation.ok
+    (search,) = searches
+    splits = sum(sum(b.split) for b in made)
+    assert splits > 0
+    assert len(bases) <= 1 + len(_ore_bases(search)) + len(made)
+    assert sum(len(b._layers) for b in made) <= splits

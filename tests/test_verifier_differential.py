@@ -4,7 +4,10 @@ The oracle below is the word-by-word search the verifier used before it
 ran over interned points and word actions, copied unchanged.  Whole
 reports must agree on seeded random integer-domain presentations, some of
 which fail injectivity or right cancellation, and on the dyadic-steps
-preset at depths 1-4.
+preset at depths 1-4.  The cancellation search is also compared on its
+own on one sample and on repeated samples, which ``verify`` refuses, and
+each cancellation base's layers, read off its union base, must equal the
+layers built on the base itself.
 """
 
 import itertools
@@ -253,3 +256,91 @@ def test_the_cases_cover_both_outcomes():
     assert ("pass", "fail") in statuses
     assert ("pass", "pass") in statuses
     assert any("status" in entry for r in reports for entry in r["ore"])  # an Ore search that fails
+
+
+# ----------------------------------------------------------------------
+# the cancellation search over union bases
+# ----------------------------------------------------------------------
+
+
+def _with_samples(seed: int, samples) -> Presentation:
+    """The generators of ``random_config(seed)`` on other samples, which ``verify`` may refuse."""
+    presentation = presentation_from_config(random_config(seed))
+    return Presentation(presentation.generators, tuple(samples), presentation.max_depth)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cancellation_matches_on_one_sample(seed):
+    # one sample: each base's tail is one point, read through a one-index itemgetter
+    presentation = _with_samples(seed, [random.Random(seed).randint(-5, 5)])
+    result = verifier.verify_right_cancellation(presentation)
+    assert result == verify_right_cancellation(presentation)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cancellation_matches_on_repeated_samples(seed):
+    rng = random.Random(seed)
+    samples = rng.sample(range(-5, 6), rng.randint(1, 3))
+    samples += rng.choices(samples, k=rng.randint(1, 3))
+    rng.shuffle(samples)
+    presentation = _with_samples(seed, samples)
+    result = verifier.verify_right_cancellation(presentation)
+    assert result == verify_right_cancellation(presentation)
+
+
+def test_one_and_repeated_samples_cover_both_outcomes():
+    outcomes = {
+        verifier.verify_right_cancellation(_with_samples(seed, samples)).ok
+        for seed in range(40)
+        for samples in ([seed % 11 - 5], [1, 1], [0, 2, 0])
+    }
+    assert outcomes == {True, False}
+
+
+# each of these has a length of g whose bases are partly split-free, partly split
+MIXED_SEEDS = (0, 3, 4, 5, 6, 15)
+
+
+@pytest.mark.parametrize("seed", MIXED_SEEDS)
+def test_cancellation_matches_with_split_and_split_free_bases_of_one_length(seed, monkeypatch):
+    made = []
+
+    class Recording(verifier._Bases):
+        def __init__(self, search, length):
+            super().__init__(search, length)
+            made.append(self)
+
+    monkeypatch.setattr(verifier, "_Bases", Recording)
+    presentation = presentation_from_config(random_config(seed))
+    result = verifier.verify_right_cancellation(presentation)
+    assert any(any(b.split) and not all(b.split) for b in made)
+    assert result == verify_right_cancellation(presentation)
+
+
+def _in_points(search, layer) -> list:
+    return [(tuple(search._points[p] for p in action), word) for action, word in layer.items()]
+
+
+LAYER_CASES = [
+    *(preset(label, depth) for label, depth in (("tower", 4), ("dyadic-steps", 3))),
+    *(preset(label, 3) for label in ("power-affine", "affine-lattice", "affine-lattice-2d")),
+    *(presentation_from_config(random_config(seed)) for seed in range(12)),
+    # with one sample a base sees fewer points than its union, so union classes merge
+    *(_with_samples(seed, [seed % 11 - 5]) for seed in range(12)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(LAYER_CASES)))
+def test_projected_layers_equal_direct_layers(index):
+    # each base's layers read off its union base, against layer() built on the base itself
+    presentation = LAYER_CASES[index]
+    depth = presentation.max_depth
+    search, direct = verifier._Search(presentation), verifier._Search(presentation)
+    for len3 in range(1, depth + 1):
+        bases = verifier._Bases(search, len3)
+        for i, image in enumerate(bases.words):
+            points = [search._points[p] for p in search.samples + image]
+            base = tuple(map(direct._intern, points))
+            for length in range(depth + 1):
+                projected = _in_points(search, bases.layer(i, length))
+                assert projected == _in_points(direct, direct.layer(base, length))

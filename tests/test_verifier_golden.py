@@ -1,8 +1,8 @@
 """Golden verifier reports: ``VerifyReport.to_json()`` for every preset and depth.
 
 ``golden_verify.json`` holds one report per case in :data:`CASES`: every
-preset at depths 3-6, ``dyadic-steps`` also at depths 7 and 8, and
-``fixtures/cancellation_fail.json`` at depths 2-6.  Re-record it with
+preset at depths 3-7, ``dyadic-steps`` also at depth 8, and
+``fixtures/cancellation_fail.json`` at depths 2-7.  Re-record it with
 
     PYTHONPATH=<src of the commit to record> python tests/test_verifier_golden.py
 
@@ -20,12 +20,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden_verify.json"
 FIXTURE = ROOT / "fixtures" / "cancellation_fail.json"
 
 DEPTHS = {
-    "power-affine": range(3, 7),
-    "affine-lattice": range(3, 7),
-    "affine-lattice-2d": range(3, 7),
+    "power-affine": range(3, 8),
+    "affine-lattice": range(3, 8),
+    "affine-lattice-2d": range(3, 8),
     "dyadic-steps": range(3, 9),
-    "tower": range(3, 7),
-    "cancellation-fail": range(2, 7),
+    "tower": range(3, 8),
+    "cancellation-fail": range(2, 8),
 }
 
 CASES = [f"{label}@{depth}" for label, depths in DEPTHS.items() for depth in depths]
