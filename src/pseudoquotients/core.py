@@ -36,6 +36,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Collection, NamedTuple
 
 __all__ = [
@@ -202,6 +203,12 @@ class Instance(ABC):
     that makes the result valid.  ``_check_element`` and ``_check_point``
     still guard every hook's inputs.
 
+    Two hooks are optional, with defaults here: ``reduce_fraction`` and
+    ``action``.  An instance overrides ``action`` to bind an element's
+    constants once into an unchecked point -> point callable; its
+    ``apply`` is then the two checks followed by that callable, and the
+    verifier's preset generators are such callables.
+
     An instance may also override a derived method of the calculus
     (``extend_apply``, ``extend_inverse_apply``, ``frac_compose``) with a
     closed form that returns an equivalent result, such as a normal form
@@ -250,6 +257,15 @@ class Instance(ABC):
     @abstractmethod
     def random_point(self, rng: random.Random) -> Any:
         """Draw a small random point of X."""
+
+    def action(self, f: Any) -> Callable[[Any], Any]:
+        """The map of ``f`` as a callable on points, with ``f`` checked once, here.
+
+        An override checks nothing further: callers pass only points of
+        this instance, such as a presentation's checked samples and their
+        images.  By default every call goes through the checked :meth:`apply`.
+        """
+        return partial(self.apply, self._check_element(f))
 
     def reduce_fraction(self, frac: GroupFraction) -> GroupFraction:
         """Return a fraction denoting the same bijection as ``frac``; by default ``frac``.
@@ -413,7 +429,11 @@ class Preset(NamedTuple):
 
     The verifier acts with the named ``generators`` (elements of
     ``instance``) on ``samples``, over words of up to ``depth`` letters.
-    ``from_rules``, if set, rebuilds the instance from a config's custom rules.
+    Each generator is compiled once, by :meth:`Instance.action`, into a
+    callable that checks nothing; the samples are checked when the
+    presentation is built, and every other point it meets is an image
+    of them.  ``from_rules``, if set, rebuilds the instance from a
+    config's custom rules.
     """
 
     instance: Instance

@@ -242,9 +242,12 @@ class AffineLattice(Instance):
         )
 
     def apply(self, f, x):
-        self._check_element(f)
-        self._check_point(x)
-        return vec_add(mat_vec(f.matrix, x), f.offset)
+        return self.action(f)(self._check_point(x))
+
+    def action(self, f):
+        """``x -> M x + b``, over the rows of ``M`` each paired with its entry of ``b``."""
+        pairs = tuple(zip(self._check_element(f).matrix, f.offset))
+        return lambda x: tuple([sum(map(mul, row, x)) + c for row, c in pairs])
 
     def ore_complete(self, f, g):
         self._check_element(f)

@@ -96,10 +96,13 @@ class StepFunction:
             width += 1
         self._hold(width, offset, tuple(nums), den)
 
-    def _hold(self, *fields) -> StepFunction:
-        """Store ``width, offset, numerators, denominator``, given in the normal form."""
-        for name, value in zip(("width", "offset", "numerators", "denominator"), fields):
-            object.__setattr__(self, name, value)
+    def _hold(self, width, offset, numerators, denominator) -> StepFunction:
+        """Store the four fields, given in the normal form."""
+        hold = object.__setattr__  # every action builds a function: no loop over the names
+        hold(self, "width", width)
+        hold(self, "offset", offset)
+        hold(self, "numerators", numerators)
+        hold(self, "denominator", denominator)
         return self
 
     @property
@@ -193,8 +196,11 @@ class DyadicSteps(Instance):
         return DyadicStepMap._unchecked(f.shift + lifted, f.halvings + g.halvings)
 
     def apply(self, f, x):
-        self._check_element(f)
-        return _moved(self._check_point(x), f.shift, f.halvings)
+        return self.action(f)(self._check_point(x))
+
+    def action(self, f):
+        shift, n = self._check_element(f).shift, f.halvings
+        return lambda x: _moved(x, shift, n)
 
     def ore_complete(self, f, g):
         self._check_element(f)

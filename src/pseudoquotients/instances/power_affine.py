@@ -160,9 +160,11 @@ class PowerAffine(Instance):
         )
 
     def apply(self, f, x):
-        self._check_element(f)
-        self._check_point(x)
-        return f.multiplier * bounded_power(x, f.exponent, "power")
+        return self.action(f)(self._check_point(x))
+
+    def action(self, f):
+        m, n = self._check_element(f).multiplier, f.exponent
+        return lambda x: m * bounded_power(x, n, "power")
 
     def ore_complete(self, f, g):
         self._check_element(f)

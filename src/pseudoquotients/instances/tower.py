@@ -87,6 +87,14 @@ class TowerPoint:
         require_int(self.level, "level", 1)
         require_int(self.payload, "payload")
 
+    @classmethod
+    def _unchecked(cls, level: int, payload: int) -> TowerPoint:
+        """Unvalidated: an integer ``level >= 1`` and an integer payload."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "level", level)
+        object.__setattr__(pt, "payload", payload)
+        return pt
+
 
 @dataclass(frozen=True)
 class TowerValue:
@@ -209,14 +217,22 @@ class Tower(Instance):
         return TowerMap._unchecked(tuple(sorted(merged.items())), f.shift + g.shift)
 
     def apply(self, f, x):
-        self._check_element(f)
-        pt = self._check_point(x)
-        level = pt.level + f.shift
-        k = f.power_at(level)
-        if not (k or f.shift):
-            return pt  # the same object, so the verifier's intern table finds it by identity
-        m, t = self.config.squeeze_power(level, k)
-        return TowerPoint(level, m * (pt.payload + f.shift * self.config.ascend_add) + t)
+        return self.action(f)(self._check_point(x))
+
+    def action(self, f):
+        powers, shift = dict(self._check_element(f).level_powers), f.shift
+        lift, squeeze_power = shift * self.config.ascend_add, self.config.squeeze_power
+
+        def act(pt: TowerPoint) -> TowerPoint:
+            level = pt.level + shift
+            k = powers.get(level, 0)
+            if not (k or shift):
+                return pt  # the same object, so the verifier's intern table finds it by identity
+            m, t = squeeze_power(level, k)
+            # a level >= 1 moved up by shift >= 0, and an integer payload
+            return TowerPoint._unchecked(level, m * (pt.payload + lift) + t)
+
+        return act
 
     def ore_complete(self, f, g):
         self._check_element(f)

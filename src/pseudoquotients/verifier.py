@@ -9,11 +9,15 @@ so this module checks them *extensionally and up to a bound*: a
 points, and a maximum word length, and the checks quantify over all words
 up to that length, comparing maps by their values on the samples.
 
-A counterexample found this way is a hard refutation (everything reported
-is re-validated by independent re-evaluation); a "pass" only means "no
-violation up to the stated depth on the stated samples", and every report
-carries both.  The word order is length-first, then left-to-right by the
-declared generator order, which makes all results reproducible.
+Everything reported is re-validated by independent re-evaluation, on the
+samples.  An injectivity counterexample is a hard refutation: one word
+maps two distinct samples to one point.  An Ore witness and a
+cancellation counterexample are not proofs: ``w1 o g == w2 o f`` and
+``f1 o g == f2 o g`` are checked on the samples only, so two maps that
+differ elsewhere can still be reported equal.  A "pass" only means "no
+violation up to the stated depth on the stated samples", and every
+report carries both.  The word order is length-first, then left-to-right
+by the declared generator order, which makes all results reproducible.
 
 Search never uses the empty word: words are semigroup words of length at
 least one, so an identity map participates only if some generator denotes
@@ -46,6 +50,12 @@ its own, projected from the union's in order, so each action keeps its
 first word.  The union visits the same (generator, point) pairs as the
 bases would one by one, so generator calls and reports are unchanged.
 Nothing is kept between calls.
+
+One call keeps at most :data:`MAX_SEARCH_BYTES`: the sizes of its
+interned points, plus an estimate of the tables and layers that hold
+their ids.  It is charged once per new point and once per finished
+layer and letter, and past it :func:`verify` stops with a DomainError
+that names the word length it had reached.
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ from .instances import PRESETS
 __all__ = [
     "CancellationResult",
     "InjectivityResult",
+    "MAX_SEARCH_BYTES",
     "OreSearchResult",
     "PRESET_NAMES",
     "Presentation",
@@ -75,6 +86,13 @@ __all__ = [
 
 Word = tuple[str, ...]
 
+# The largest run known to finish, power-affine at depth 9, counts about
+# 280 MB; the tower preset at an unbounded depth stops at word length 60
+# with a 360 MB peak, inside a 512 MB address-space limit.
+MAX_SEARCH_BYTES = 320 << 20
+_POINT_BYTES = 100  # per point beyond its __sizeof__: its id, and its id-dict, list and table slots
+_ENTRY_BYTES = 130  # per kept action: two tuple headers and a dict slot, beside 8 per id or letter
+
 
 @dataclass(frozen=True)
 class Presentation:
@@ -82,7 +100,10 @@ class Presentation:
 
     Generator actions must be defined on the samples and on all their
     images under words up to the bound; points must be hashable and
-    compare exactly.
+    compare exactly.  The verifier calls them on nothing else, so an
+    action need not check its input: a preset's generators are its
+    instance's compiled :meth:`~pseudoquotients.core.Instance.action`
+    callables, and only its samples are checked, once, when it is built.
     """
 
     generators: tuple[tuple[str, Callable[[Any], Any]], ...]
@@ -199,13 +220,30 @@ class _Search:
         self._ids: dict[Any, int] = {}
         self._points: list = []
         self._layers: dict[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]] = {}
+        self._left = MAX_SEARCH_BYTES  # of the memory budget
+        self._length = 0  # the word length being built
         self.samples = tuple(self._intern(p) for p in presentation.sample_points)
 
     def _intern(self, point) -> int:
         pid = self._ids.setdefault(point, len(self._points))  # hashes the point once
         if pid == len(self._points):
             self._points.append(point)
+            self._left -= point.__sizeof__() + _POINT_BYTES  # sys.getsizeof costs ten times more
+            if self._left < 0:
+                self._over_budget()
         return pid
+
+    def keep(self, actions: int, width: int) -> None:
+        """Charge the budget for ``actions`` kept actions of ``width`` ids and letters each."""
+        self._left -= actions * (_ENTRY_BYTES + 8 * width)
+        if self._left < 0:
+            self._over_budget()
+
+    def _over_budget(self):
+        raise DomainError(
+            f"verify stopped at word length {self._length}: its points and word actions "
+            f"outgrew the {MAX_SEARCH_BYTES >> 20} MB search budget; lower max_depth"
+        )
 
     def _image(self, letter: int, ids: tuple[int, ...]) -> tuple[int, ...]:
         table = self._tables[letter]
@@ -237,11 +275,14 @@ class _Search:
         """
         layers = self._layers.setdefault(base, [{base: ()}])
         while len(layers) <= length:
+            self._length = len(layers)
             shorter = layers[-1]
             layer: dict[tuple[int, ...], tuple[int, ...]] = {}
             for letter in range(len(self._actions)):
+                kept = len(layer)
                 for action, word in shorter.items():
                     layer.setdefault(self._image(letter, action), (letter, *word))
+                self.keep(len(layer) - kept, len(base) + self._length)
             layers.append(layer)
         return layers[length]
 
@@ -313,11 +354,13 @@ class _Bases:
         union word to reach an action on the base is that action's first word.
         """
         full = self.fulls[i]
-        layers = self._layers.setdefault(i, [{full(self.union): ()}])
+        base = full(self.union)
+        layers = self._layers.setdefault(i, [{base: ()}])
         while len(layers) <= length:
             layer: dict[tuple[int, ...], tuple[int, ...]] = {}
             for action, word in self.search.layer(self.union, len(layers)).items():
                 layer.setdefault(full(action), word)
+            self.search.keep(len(layer), len(base) + len(layers))
             layers.append(layer)
         return layers[length]
 
@@ -360,8 +403,11 @@ def verify_injectivity(
         raise UsageError("injectivity checking needs at least two distinct sample points")
     search = _search or _Search(presentation)
     samples = search.samples
+    distinct = len(set(samples))
     for length in range(1, presentation.max_depth + 1):
         for action, word in search.layer(samples, length).items():
+            if len(set(action)) == distinct:  # no two distinct samples meet
+                continue
             first: dict[int, int] = {}
             for i, image in enumerate(action):
                 j = first.setdefault(image, i)
@@ -525,10 +571,8 @@ def _config_text(value: Any, what: str) -> str:
     return value
 
 
-def _int_affine(rule: dict) -> Callable[[int], int]:
-    mul = require_int(rule.get("mul", 1), "mul")
-    add = require_int(rule.get("add", 0), "add")
-    return lambda x: mul * x + add
+def _int_affine(rule: dict) -> tuple[int, int]:
+    return require_int(rule.get("mul", 1), "mul"), require_int(rule.get("add", 0), "add")
 
 
 def _int_generator(entry: Any) -> tuple[str, Callable[[int], int]]:
@@ -540,10 +584,11 @@ def _int_generator(entry: Any) -> tuple[str, Callable[[int], int]]:
         require_object(entry, "parity generator key", ("name", "even", "odd"))
         if "even" not in entry or "odd" not in entry:
             raise DomainError("a parity generator needs both 'even' and 'odd' rules")
-        even = _int_affine(require_object(entry["even"], "parity rule key", ("mul", "add")))
-        odd = _int_affine(require_object(entry["odd"], "parity rule key", ("mul", "add")))
-        return name, lambda x: even(x) if x % 2 == 0 else odd(x)
-    return name, _int_affine(entry)
+        em, ea = _int_affine(require_object(entry["even"], "parity rule key", ("mul", "add")))
+        om, oa = _int_affine(require_object(entry["odd"], "parity rule key", ("mul", "add")))
+        return name, lambda x: em * x + ea if x % 2 == 0 else om * x + oa
+    mul, add = _int_affine(entry)
+    return name, lambda x: mul * x + add
 
 
 def presentation_from_config(config: Any) -> Presentation:
@@ -584,11 +629,9 @@ def presentation_from_config(config: Any) -> Presentation:
         if rules_keys and config.get(name) is not None:
             instance, label = spec.from_rules(config[name]), f"{name} (custom rules)"
         return Presentation(
-            generators=tuple(
-                (gen, lambda p, el=element: instance.apply(el, p))
-                for gen, element in spec.generators
-            ),
-            sample_points=spec.samples,
+            generators=tuple((gen, instance.action(element)) for gen, element in spec.generators),
+            # the compiled actions check no point: the samples are checked here, once
+            sample_points=tuple(map(instance._check_point, spec.samples)),
             max_depth=spec.depth if depth is None else depth,
             label=label,
             point_text=instance.point_text,

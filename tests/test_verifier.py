@@ -303,3 +303,90 @@ def test_cancellation_builds_own_layers_only_for_split_bases(monkeypatch):
     assert splits > 0
     assert len(bases) <= 1 + len(_ore_bases(search)) + len(made)
     assert sum(len(b._layers) for b in made) <= splits
+
+
+# ----------------------------------------------------------------------
+# the memory budget
+# ----------------------------------------------------------------------
+
+UNBOUNDED_TOWER = {"preset": "tower", "max_depth": 10**30}
+
+
+def test_verify_stops_at_its_budget_naming_the_word_length(monkeypatch):
+    monkeypatch.setattr(verifier, "MAX_SEARCH_BYTES", 1 << 20)
+    with pytest.raises(DomainError, match=r"^verify stopped at word length \d+: .* 1 MB search budget"):
+        verify(presentation_from_config(UNBOUNDED_TOWER))
+
+
+def test_the_budget_counts_the_size_of_each_point(monkeypatch):
+    # one generator and two samples keep a few ids a layer; the points grow
+    # by 13k bits a letter, so only their sizes can reach the budget
+    monkeypatch.setattr(verifier, "MAX_SEARCH_BYTES", 8 << 20)
+    config = {"domain": "int", "generators": [{"name": "m", "mul": 10**4000}], "samples": [1, 2]}
+    with pytest.raises(DomainError, match=r"word length \d+"):
+        verify(presentation_from_config({**config, "max_depth": 10**6}))
+    assert verify(presentation_from_config({**config, "max_depth": 5})).injectivity.ok
+
+
+def test_unbounded_depth_exits_1_within_the_budget_under_a_memory_limit(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20  # as `ulimit -v 524288`: the budget plus the interpreter must fit
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps(UNBOUNDED_TOWER))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pseudoquotients", "verify", "--config", str(config)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("domain error: verify stopped at word length ")
+    assert "Traceback" not in done.stderr
+
+
+# ----------------------------------------------------------------------
+# what a counterexample proves
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="cancellation counterexamples are checked on the samples only (ROADMAP item 1: "
+    "compare words on a determining set)",
+)
+def test_a_cancellation_counterexample_holds_on_all_of_the_integers():
+    config = {
+        "domain": "int",
+        "generators": [
+            {"name": "u", "even": {"mul": 2}, "odd": {"mul": 5}},
+            {"name": "v", "even": {"mul": 2}, "odd": {"mul": 3}},
+            {"name": "s", "add": 1},
+        ],
+        "samples": [1, 3],
+        "max_depth": 1,
+    }
+    presentation = presentation_from_config(config)
+    report = verify(presentation)
+    assert report.validated
+    if not report.cancellation.ok:
+        actions = dict(presentation.generators)
+
+        def run(word, x):
+            for name in reversed(word):
+                x = actions[name](x)
+            return x
+
+        # every generator is integer-affine on each parity class and maps it
+        # into one class, so two words agree on Z iff they agree on 0..3
+        f1, f2, g = report.cancellation.f1, report.cancellation.f2, report.cancellation.g
+        assert [run(f1 + g, x) for x in range(4)] == [run(f2 + g, x) for x in range(4)]
