@@ -210,9 +210,9 @@ class Instance(ABC):
     verifier's preset generators are such callables.
 
     An instance may also override a derived method of the calculus
-    (``extend_apply``, ``extend_inverse_apply``, ``frac_compose``) with a
-    closed form that returns an equivalent result, such as a normal form
-    of the class or fraction.  The method here then stays its test
+    (``extend_apply``, ``extend_inverse_apply``, ``frac_apply``,
+    ``frac_compose``) with a closed form that returns an equivalent
+    result, such as a normal form of the class or fraction.  The method here then stays its test
     oracle: called as ``Instance.extend_apply(instance, g, p)``, it takes
     the generic Ore route.
     """

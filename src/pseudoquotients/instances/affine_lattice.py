@@ -10,8 +10,9 @@ maps
 
 satisfy ``f' g == g' f``; writing them with integer adjugates rather than
 rational inverses makes every witness entry an integer by construction.
-One fraction-free Gauss-Jordan pass gives a determinant and its adjugate
-together; it is the only elimination here, and also validates each map.
+A determinant comes with its adjugate, from explicit cofactors for
+``n <= 3`` and from one fraction-free Gauss-Jordan pass for larger ``n``;
+the same computation validates each map.
 Classes are identified with rational vectors: the class of
 ``(x, (M, b))`` is the exact solution ``M^-1 (x - b)`` in ``Q^n``.  Its
 normal form is ``pq(y; (D I, 0))`` with ``D > 0`` and ``gcd(D, y) == 1``,
@@ -27,7 +28,8 @@ kept in this form, so a chain of compositions stays as small as its result.
 On these forms the derived calculus has closed forms, which override the
 generic Ore route of :class:`~pseudoquotients.core.Instance` (kept there as
 the tests' oracle).  ``(N, v)`` moves the class ``y / D`` to
-``(N y + D v) / D``, with no elimination; ``x / f`` moves back to
+``(N y + D v) / D``, with no elimination, and a fraction ``(N, v) / d``
+moves it to ``(N y + D v) / (d D)``; ``x / f`` moves back to
 ``x / (f g)``, read off with one :func:`det_adjugate`; and two maps
 ``(N, v) / D`` compose to ``(N1 N2, N1 v2 + D2 v1) / (D1 D2)``.  Each is
 brought to lowest terms by one gcd.  Reading a pair whose matrix is a
@@ -72,14 +74,47 @@ Vector = tuple[int, ...]
 # ----------------------------------------------------------------------
 
 def det_adjugate(matrix) -> tuple[int, Matrix]:
-    """``(det M, adj M)`` by one fraction-free Gauss-Jordan pass on ``[M | I]``.
+    """``(det M, adj M)`` of a square integer matrix; a singular one raises DomainError.
+
+    Sizes 1 to 3 take the explicit cofactor formulas; larger sizes take the
+    fraction-free pass of :func:`_bareiss_det_adjugate`.
+    """
+    n = len(matrix)
+    if not 0 < n <= 3:
+        return _bareiss_det_adjugate(matrix)
+    try:
+        if n == 1:
+            ((a,),) = matrix
+            det, adj = a, ((1,),)
+        elif n == 2:
+            (a, b), (c, d) = matrix
+            det, adj = a * d - b * c, ((d, -b), (-c, a))
+        else:
+            (a, b, c), (d, e, f), (g, h, i) = matrix
+            # the first row's cofactors (adj's first column) expand the determinant
+            c1, c2, c3 = e * i - f * h, f * g - d * i, d * h - e * g
+            det = a * c1 + b * c2 + c * c3
+            adj = (
+                (c1, c * h - b * i, b * f - c * e),
+                (c2, a * i - c * g, c * d - a * f),
+                (c3, b * g - a * h, a * e - b * d),
+            )
+    except ValueError:  # a row of another length
+        raise DomainError("matrix must be square and nonempty") from None
+    if det == 0:
+        raise DomainError("matrix must have nonzero determinant")
+    return det, adj
+
+
+def _bareiss_det_adjugate(matrix) -> tuple[int, Matrix]:
+    """``(det M, adj M)`` by one fraction-free Gauss-Jordan pass on ``[M | I]``, for any size.
 
     Each step eliminates the pivot column from every other row and divides
     by the previous pivot, which is exact (Bareiss 1968); the pass ends at
     ``[d I | d M^-1]`` with ``d`` the determinant of the row-swapped
     matrix.  A singular matrix has no such end and raises DomainError.
     """
-    n = len(matrix)
+    n = _require_square(matrix)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     sign, prev = 1, 1
     for k in range(n):
@@ -99,8 +134,16 @@ def det_adjugate(matrix) -> tuple[int, Matrix]:
     return sign * prev, tuple(tuple(sign * e for e in row[n:]) for row in rows)
 
 
+def _require_square(matrix) -> int:
+    n = len(matrix)
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise DomainError("matrix must be square and nonempty")
+    return n
+
+
 def determinant(matrix) -> int:
-    """Integer determinant, 0 for a singular matrix: the pass of :func:`det_adjugate`."""
+    """Integer determinant by :func:`det_adjugate`, or 0 if singular; M square and nonempty."""
+    _require_square(matrix)
     try:
         return det_adjugate(matrix)[0]
     except DomainError:
@@ -108,7 +151,7 @@ def determinant(matrix) -> int:
 
 
 def adjugate(matrix) -> Matrix:
-    """Integer adjugate: ``adj(M) @ M == M @ adj(M) == det(M) * I``; M nonsingular."""
+    """Integer adjugate: ``adj(M) @ M == M @ adj(M) == det(M) * I``; M square and nonsingular."""
     return det_adjugate(matrix)[1]
 
 
@@ -125,8 +168,9 @@ def mat_scale(a, c: int) -> Matrix:
     return tuple(tuple(c * entry for entry in row) for row in a)
 
 
-def vec_add(u, v) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+def mat_vec_add(a, x, d: int, v) -> Vector:
+    """``a @ x + d * v``."""
+    return tuple([sum(map(mul, row, x)) + d * c for row, c in zip(a, v)])
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -181,13 +225,10 @@ class AffineLatticeMap:
                 require_int(e, "offset entry")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
-        n = len(matrix)
-        if n == 0 or any(len(row) != n for row in matrix):
-            raise DomainError("matrix must be square and nonempty")
+        n = _require_square(matrix)
         if len(offset) != n:
             raise DomainError(f"offset length {len(offset)} does not match matrix size {n}")
-        if determinant(matrix) == 0:
-            raise DomainError("matrix must have nonzero determinant")
+        det_adjugate(matrix)  # raises for det 0
 
     @classmethod
     def _unchecked(cls, matrix: Matrix, offset: Vector) -> AffineLatticeMap:
@@ -238,7 +279,7 @@ class AffineLattice(Instance):
         self._check_element(g)
         # det(AB) = det A * det B != 0
         return AffineLatticeMap._unchecked(
-            mat_mul(f.matrix, g.matrix), vec_add(mat_vec(f.matrix, g.offset), f.offset)
+            mat_mul(f.matrix, g.matrix), mat_vec_add(f.matrix, g.offset, 1, f.offset)
         )
 
     def apply(self, f, x):
@@ -323,9 +364,7 @@ class AffineLattice(Instance):
         """
         d, y, _ = self._read_off(p.denominator, self._check_point(p.numerator))
         self._check_element(g)
-        # N y + D v is the action of (N, D v), whose matrix is g's
-        moved = self.apply(AffineLatticeMap._unchecked(g.matrix, tuple(d * c for c in g.offset)), y)
-        return self._normal_pq(d, moved)
+        return self._normal_pq(d, mat_vec_add(g.matrix, y, d, g.offset))
 
     def extend_inverse_apply(self, g: AffineLatticeMap, p: Pseudoquotient) -> Pseudoquotient:
         """``x / f -> x / (f g)``, in normal form: one :func:`det_adjugate` reads it off."""
@@ -340,12 +379,14 @@ class AffineLattice(Instance):
         """
         d1, v1, n1 = self._map_of(first)
         d2, v2, n2 = self._map_of(second)
-        # N1 and N2 are nonsingular: the product is the composition (N1, D2 v1) o (N2, v2)
-        product = self.compose(
-            AffineLatticeMap._unchecked(n1, tuple(d2 * c for c in v1)),
-            AffineLatticeMap._unchecked(n2, v2),
-        )
-        return self._normal_fraction(d1 * d2, product.offset, product.matrix)
+        # N1 N2 is nonsingular, as N1 and N2 are
+        return self._normal_fraction(d1 * d2, mat_vec_add(n1, v2, d2, v1), mat_mul(n1, n2))
+
+    def frac_apply(self, frac: GroupFraction, p: Pseudoquotient) -> Pseudoquotient:
+        """``(N, v) / d`` moves the class ``y / D`` to ``(N y + D v) / (d D)``, in normal form."""
+        d, v, n = self._map_of(frac)
+        big_d, y, _ = self._read_off(p.denominator, self._check_point(p.numerator))
+        return self._normal_pq(d * big_d, mat_vec_add(n, y, big_d, v))
 
     @property
     def designated_element(self) -> AffineLatticeMap:

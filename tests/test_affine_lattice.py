@@ -17,6 +17,7 @@ from pseudoquotients import (
 )
 from pseudoquotients.core import Instance
 from pseudoquotients.instances.affine_lattice import (
+    _bareiss_det_adjugate,
     adjugate,
     det_adjugate,
     determinant,
@@ -120,7 +121,10 @@ def _row_swapped(rng, dim, bits):
 
 
 def test_det_adjugate_matches_the_cofactor_oracle(rng):
+    # sizes up to 3 take the cofactor formulas, larger ones the Bareiss pass;
+    # the pass is checked on every size, as the reference for the formulas
     for dim in range(1, 6):
+        dets = []
         for bits in (4, 1000):
             cases = [_row_swapped(rng, dim, bits)]
             cases += [random_matrix(rng, dim, 1 << bits) for _ in range(3 if bits > 4 else 30)]
@@ -129,8 +133,16 @@ def test_det_adjugate_matches_the_cofactor_oracle(rng):
                 assert det == determinant(m) == det_oracle(m)
                 assert adj == adjugate(m) == cofactor_adjugate(m)
                 assert all(type(e) is int for row in adj for e in row)
+                assert _bareiss_det_adjugate(m) == (det, adj)
+                dets.append(det)
+                if dim >= 2:
+                    # swapping two rows flips the sign of the determinant
+                    swapped = (m[1], m[0], *m[2:])
+                    assert det_adjugate(swapped) == _bareiss_det_adjugate(swapped)
+                    assert det_adjugate(swapped)[0] == -det
             if dim >= 2:
                 assert cases[0][0][0] == 0
+        assert min(dets) < 0 < max(dets)
 
 
 def test_det_adjugate_known_values():
@@ -152,10 +164,29 @@ SINGULAR = (
 @pytest.mark.parametrize("matrix", SINGULAR)
 def test_adjugate_of_a_singular_matrix_is_refused(matrix):
     assert determinant(matrix) == 0
-    with pytest.raises(DomainError, match="^matrix must have nonzero determinant$"):
-        adjugate(matrix)
-    with pytest.raises(DomainError):
-        det_adjugate(matrix)
+    # the cofactor formulas and the Bareiss pass refuse with one message
+    for kernel in (adjugate, det_adjugate, _bareiss_det_adjugate):
+        with pytest.raises(DomainError, match="^matrix must have nonzero determinant$"):
+            kernel(matrix)
+
+
+NOT_SQUARE = (
+    (),
+    ((),),
+    ((1, 2),),
+    ((1, 2), (3,)),
+    ((1, 2, 3), (4, 5, 6)),
+    ((1, 0), (0, 1), (0, 0)),
+    ((1, 0, 0), (0, 1), (0, 0, 1)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1)),
+)
+
+
+@pytest.mark.parametrize("matrix", NOT_SQUARE)
+def test_a_matrix_that_is_not_square_is_refused(matrix):
+    for kernel in (determinant, adjugate, det_adjugate, _bareiss_det_adjugate):
+        with pytest.raises(DomainError, match="^matrix must be square and nonempty$"):
+            kernel(matrix)
 
 
 def test_apply_frozen_example():
