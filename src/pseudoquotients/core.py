@@ -20,11 +20,12 @@ completion of ``X``:
 
 This module implements that calculus once, generically.  A concrete
 :class:`Instance` supplies the semigroup operation, the action, decidable
-element equality (a faithful normal form), a deterministic Ore witness,
-and a canonical form for classes (optionally also a normal form for
-fractions), and describes its own text syntax, JSON shape and verifier
-presets; equivalence testing, the embedding, extensions, and the
-fraction group are derived here and shared by every instance.
+element equality (a faithful normal form), a deterministic Ore witness
+and a canonical form for classes, and describes its own text syntax,
+JSON shape and verifier presets; applying an element to a point,
+equivalence testing, the embedding, extensions, and the fraction group
+are derived here and shared by every instance.  :func:`unchecked` is the
+one constructor for values an instance builds without validation.
 
 All values are immutable and every operation is a pure function of its
 inputs, so values can be shared freely across threads.
@@ -36,7 +37,6 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Any, Callable, Collection, NamedTuple
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "UsageError",
     "bounded_power",
     "frac_inverse",
+    "unchecked",
 ]
 
 
@@ -126,6 +127,22 @@ def require_object(value: Any, what: str, keys: Collection[str]) -> dict:
     return value
 
 
+_new = object.__new__
+
+
+def unchecked(cls: type, **fields: Any) -> Any:
+    """A ``cls`` holding ``fields`` as given: no validation, no normalization.
+
+    Hook results go through here, each under an invariant of its algebra
+    that makes the fields valid, named at the call site; values from
+    outside go through the public constructor.  Writing the instance
+    dictionary directly skips a frozen dataclass's ``__setattr__``.
+    """
+    value = _new(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 MAX_POWER_BITS = 1 << 20  # the largest power an instance computes from its inputs
 
 
@@ -197,24 +214,23 @@ class Instance(ABC):
     Values are validated once, where they enter.  An element's public
     constructor checks every value from outside (parsed text, configs,
     ``random_element``, user code).  The hooks ``compose``,
-    ``ore_complete``, ``reduce_fraction`` and ``designated_element`` build
-    their results through the element type's private ``_unchecked``
-    constructor instead, each under a named invariant of its algebra
-    that makes the result valid.  ``_check_element`` and ``_check_point``
-    still guard every hook's inputs.
+    ``ore_complete`` and ``designated_element`` build their results
+    through :func:`unchecked` instead, each under a named invariant of its
+    algebra that makes the result valid.  ``_check_element`` and
+    ``_check_point`` still guard every hook's inputs.
 
-    Two hooks are optional, with defaults here: ``reduce_fraction`` and
-    ``action``.  An instance overrides ``action`` to bind an element's
-    constants once into an unchecked point -> point callable; its
-    ``apply`` is then the two checks followed by that callable, and the
-    verifier's preset generators are such callables.
+    ``action`` binds an element's constants once into an unchecked
+    point -> point callable; :meth:`apply` is derived from it here, as the
+    two checks followed by that callable, and the verifier's preset
+    generators are such callables.  No hook is optional.
 
     An instance may also override a derived method of the calculus
     (``extend_apply``, ``extend_inverse_apply``, ``frac_apply``,
     ``frac_compose``) with a closed form that returns an equivalent
-    result, such as a normal form of the class or fraction.  The method here then stays its test
-    oracle: called as ``Instance.extend_apply(instance, g, p)``, it takes
-    the generic Ore route.
+    result, such as a normal form of the class or fraction.  The method
+    here then stays its test oracle: called as
+    ``Instance.extend_apply(instance, g, p)``, it takes the generic Ore
+    route.
     """
 
     name: str = "abstract"
@@ -230,8 +246,13 @@ class Instance(ABC):
         """Return ``f o g`` (apply ``g`` first); associative."""
 
     @abstractmethod
-    def apply(self, f: Any, x: Any) -> Any:
-        """Apply the map denoted by ``f`` to the point ``x``."""
+    def action(self, f: Any) -> Callable[[Any], Any]:
+        """The map of ``f`` as a callable on points, with ``f`` checked once, here.
+
+        The callable checks nothing further: callers pass only points of
+        this instance, such as a presentation's checked samples and their
+        images.
+        """
 
     @abstractmethod
     def ore_complete(self, f: Any, g: Any) -> OreWitness:
@@ -257,26 +278,6 @@ class Instance(ABC):
     @abstractmethod
     def random_point(self, rng: random.Random) -> Any:
         """Draw a small random point of X."""
-
-    def action(self, f: Any) -> Callable[[Any], Any]:
-        """The map of ``f`` as a callable on points, with ``f`` checked once, here.
-
-        An override checks nothing further: callers pass only points of
-        this instance, such as a presentation's checked samples and their
-        images.  By default every call goes through the checked :meth:`apply`.
-        """
-        return partial(self.apply, self._check_element(f))
-
-    def reduce_fraction(self, frac: GroupFraction) -> GroupFraction:
-        """Return a fraction denoting the same bijection as ``frac``; by default ``frac``.
-
-        :meth:`frac_compose` returns its result through this hook.  An
-        instance may map each fraction to a normal form: a representative
-        that two fractions share exactly when they denote the same
-        bijection, so that chains of compositions stay small and
-        :meth:`frac_equal` decides most pairs by structural comparison.
-        """
-        return frac
 
     # --- text syntax, JSON shape and verifier presets -------------------
 
@@ -309,6 +310,10 @@ class Instance(ABC):
     def create(cls, dim: int = 1) -> Instance:
         """The instance acting on points of dimension ``dim``; most actions have none."""
         return cls()
+
+    def apply(self, f: Any, x: Any) -> Any:
+        """Apply the map denoted by ``f`` to the point ``x``; :meth:`action` checks ``f``."""
+        return self.action(f)(self._check_point(x))
 
     # --- type checks ----------------------------------------------------
 
@@ -391,15 +396,11 @@ class Instance(ABC):
         ``f1^-1 g1 o f2^-1 g2`` is rewritten into a single left fraction
         by picking ``(h, k)`` with ``h o g1 == k o f2``, giving
         ``(h f1)^-1 o (k g2)``; closure under composition is exactly what
-        the Ore condition buys.  The result passes through
-        :meth:`reduce_fraction`.
+        the Ore condition buys.
         """
         w = self.ore_complete(second.den, first.num)
-        return self.reduce_fraction(
-            GroupFraction(
-                self.compose(w.f_prime, first.den),
-                self.compose(w.g_prime, second.num),
-            )
+        return GroupFraction(
+            self.compose(w.f_prime, first.den), self.compose(w.g_prime, second.num)
         )
 
     def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
@@ -429,11 +430,12 @@ class Preset(NamedTuple):
 
     The verifier acts with the named ``generators`` (elements of
     ``instance``) on ``samples``, over words of up to ``depth`` letters.
-    Each generator is compiled once, by :meth:`Instance.action`, into a
-    callable that checks nothing; the samples are checked when the
-    presentation is built, and every other point it meets is an image
-    of them.  ``from_rules``, if set, rebuilds the instance from a
-    config's custom rules.
+    Each generator is compiled once, by the :meth:`Instance.action` hook
+    that every instance defines, into a callable that checks nothing
+    (:meth:`Instance.apply` is that callable behind a point check); the
+    samples are checked when the presentation is built, and every other
+    point it meets is an image of them.  ``from_rules``, if set, rebuilds
+    the instance from a config's custom rules.
     """
 
     instance: Instance

@@ -59,6 +59,7 @@ from ..core import (
     UsageError,
     require_int,
     require_sequence,
+    unchecked,
     value_text,
 )
 from ..syntax import parse_bracketed, parse_int, split_pair
@@ -230,14 +231,6 @@ class AffineLatticeMap:
             raise DomainError(f"offset length {len(offset)} does not match matrix size {n}")
         det_adjugate(matrix)  # raises for det 0
 
-    @classmethod
-    def _unchecked(cls, matrix: Matrix, offset: Vector) -> AffineLatticeMap:
-        """Unvalidated: a square tuple matrix of nonzero determinant and a tuple offset."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "matrix", matrix)
-        object.__setattr__(f, "offset", offset)
-        return f
-
     @property
     def dim(self) -> int:
         return len(self.offset)
@@ -278,12 +271,8 @@ class AffineLattice(Instance):
         self._check_element(f)
         self._check_element(g)
         # det(AB) = det A * det B != 0
-        return AffineLatticeMap._unchecked(
-            mat_mul(f.matrix, g.matrix), mat_vec_add(f.matrix, g.offset, 1, f.offset)
-        )
-
-    def apply(self, f, x):
-        return self.action(f)(self._check_point(x))
+        matrix, offset = mat_mul(f.matrix, g.matrix), mat_vec_add(f.matrix, g.offset, 1, f.offset)
+        return unchecked(AffineLatticeMap, matrix=matrix, offset=offset)
 
     def action(self, f):
         """``x -> M x + b``, over the rows of ``M`` each paired with its entry of ``b``."""
@@ -300,8 +289,8 @@ class AffineLattice(Instance):
         g_offset = tuple(m1 * c for c in mat_vec(adj2, g.offset))
         # c * adj(M) is nonsingular for c != 0: det adj(M) = det(M)^(n-1)
         return OreWitness(
-            AffineLatticeMap._unchecked(mat_scale(adj2, m1), f_offset),
-            AffineLatticeMap._unchecked(mat_scale(adj1, m2), g_offset),
+            unchecked(AffineLatticeMap, matrix=mat_scale(adj2, m1), offset=f_offset),
+            unchecked(AffineLatticeMap, matrix=mat_scale(adj1, m2), offset=g_offset),
         )
 
     # --- the normal forms and the closed forms on them -----------------
@@ -323,7 +312,9 @@ class AffineLattice(Instance):
 
     def _scalar(self, d: int) -> AffineLatticeMap:
         # the denominator (d I, 0) of a normal form: d > 0, so det = d^n != 0
-        return AffineLatticeMap._unchecked(mat_scale(self._identity, d), (0,) * self.dim)
+        return unchecked(
+            AffineLatticeMap, matrix=mat_scale(self._identity, d), offset=(0,) * self.dim
+        )
 
     def _normal_pq(self, d: int, y: Vector) -> Pseudoquotient:
         """``pq(y; (D I, 0))`` for the class ``y / d``, in lowest terms with ``D > 0``."""
@@ -334,7 +325,7 @@ class AffineLattice(Instance):
         """``(D I, 0)^-1 o (N, v)`` for the map ``x -> (n x + v) / d``, in lowest terms."""
         d, v, n = lowest_terms(d, v, n)
         # det(n / g) != 0, since n is nonsingular
-        return GroupFraction(self._scalar(d), AffineLatticeMap._unchecked(n, v))
+        return GroupFraction(self._scalar(d), unchecked(AffineLatticeMap, matrix=n, offset=v))
 
     def _map_of(self, frac: GroupFraction) -> tuple[int, Vector, Matrix]:
         """``(d, v, N)`` with ``den^-1 o num`` the map ``x -> (N x + v) / d``."""
@@ -391,7 +382,7 @@ class AffineLattice(Instance):
     @property
     def designated_element(self) -> AffineLatticeMap:
         # det I = 1
-        return AffineLatticeMap._unchecked(self._identity, (0,) * self.dim)
+        return unchecked(AffineLatticeMap, matrix=self._identity, offset=(0,) * self.dim)
 
     def random_element(self, rng: random.Random) -> AffineLatticeMap:
         while True:
@@ -400,7 +391,9 @@ class AffineLattice(Instance):
             )
             if determinant(matrix) != 0:
                 break
-        return AffineLatticeMap(matrix, tuple(rng.randint(-5, 5) for _ in range(self.dim)))
+        offset = tuple(rng.randint(-5, 5) for _ in range(self.dim))
+        # nonzero determinant checked above; integer entries drawn here
+        return unchecked(AffineLatticeMap, matrix=matrix, offset=offset)
 
     def random_point(self, rng: random.Random) -> Vector:
         return tuple(rng.randint(-9, 9) for _ in range(self.dim))

@@ -51,6 +51,7 @@ from ..core import (
     require_int,
     require_rational,
     require_sequence,
+    unchecked,
 )
 from ..syntax import parse_bracketed, parse_rational, word_letters
 
@@ -94,16 +95,7 @@ class StepFunction:
         while nums and len(nums) % 2 == 0 and nums[::2] == nums[1::2]:
             del nums[1::2]
             width += 1
-        self._hold(width, offset, tuple(nums), den)
-
-    def _hold(self, width, offset, numerators, denominator) -> StepFunction:
-        """Store the four fields, given in the normal form."""
-        hold = object.__setattr__  # every action builds a function: no loop over the names
-        hold(self, "width", width)
-        hold(self, "offset", offset)
-        hold(self, "numerators", numerators)
-        hold(self, "denominator", denominator)
-        return self
+        self.__dict__.update(width=width, offset=offset, numerators=tuple(nums), denominator=den)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -127,19 +119,22 @@ def _moved(x: StepFunction, shift, n: int) -> StepFunction:
     if not x.numerators:
         return x  # the zero function, whatever the map does to the grid
     power = bounded_power(2, abs(n), "refine factor")
-    numerators, denominator = x.numerators, x.denominator
+    numerators, den = x.numerators, x.denominator
     if n >= 0:
         offset = x.offset * power + shift
-        denominator *= power
+        den *= power
     else:
         offset = Fraction(x.offset, power) + shift
         offset = offset.numerator if offset.denominator == 1 else offset
         numerators = tuple(k * power for k in numerators)
-    common = math.gcd(denominator, *numerators)
+    common = math.gcd(den, *numerators)
     if common != 1:
         numerators = tuple(k // common for k in numerators)
-        denominator //= common
-    return object.__new__(StepFunction)._hold(x.width + n, offset, numerators, denominator)
+        den //= common
+    # moving the grid and scaling the values kept the normal form, and den is cancelled
+    return unchecked(
+        StepFunction, width=x.width + n, offset=offset, numerators=numerators, denominator=den
+    )
 
 
 def _require_point(x: StepFunction) -> StepFunction:
@@ -168,14 +163,6 @@ class DyadicStepMap:
         require_int(self.shift, "shift exponent", 0)
         require_int(self.halvings, "refine exponent", 0)
 
-    @classmethod
-    def _unchecked(cls, shift: int, halvings: int) -> DyadicStepMap:
-        """Unvalidated: the map of integers ``shift >= 0`` and ``halvings >= 0``."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "shift", shift)
-        object.__setattr__(f, "halvings", halvings)
-        return f
-
 
 _LETTER = re.compile(r"(?P<gen>[td])(?:\^(?P<exp>-?\d+))?")
 
@@ -193,10 +180,7 @@ class DyadicSteps(Instance):
         # moving d^n1 past t^m2 doubles the shift n1 times
         lifted = bounded_power(2, f.halvings, "shift factor") * g.shift
         # sums and products of integers >= 0 stay >= 0
-        return DyadicStepMap._unchecked(f.shift + lifted, f.halvings + g.halvings)
-
-    def apply(self, f, x):
-        return self.action(f)(self._check_point(x))
+        return unchecked(DyadicStepMap, shift=f.shift + lifted, halvings=f.halvings + g.halvings)
 
     def action(self, f):
         shift, n = self._check_element(f).shift, f.halvings
@@ -209,16 +193,17 @@ class DyadicSteps(Instance):
         # product of integers >= 0 or a max(0, ...): every field stays >= 0
         if f.halvings <= g.halvings:
             gap = g.halvings - f.halvings
+            shift = bounded_power(2, gap, "shift factor") * f.shift
             return OreWitness(
-                DyadicStepMap._unchecked(bounded_power(2, gap, "shift factor") * f.shift, 0),
-                DyadicStepMap._unchecked(g.shift, gap),
+                unchecked(DyadicStepMap, shift=shift, halvings=0),
+                unchecked(DyadicStepMap, shift=g.shift, halvings=gap),
             )
         gap = f.halvings - g.halvings
         lifted = bounded_power(2, gap, "shift factor") * g.shift
         # smallest witness: cancel the common shift part
         return OreWitness(
-            DyadicStepMap._unchecked(max(0, f.shift - lifted), gap),
-            DyadicStepMap._unchecked(max(0, lifted - f.shift), 0),
+            unchecked(DyadicStepMap, shift=max(0, f.shift - lifted), halvings=gap),
+            unchecked(DyadicStepMap, shift=max(0, lifted - f.shift), halvings=0),
         )
 
     def canonical_value(self, p: Pseudoquotient) -> StepFunction:
@@ -249,7 +234,7 @@ class DyadicSteps(Instance):
 
     @property
     def designated_element(self) -> DyadicStepMap:
-        return DyadicStepMap._unchecked(0, 0)  # the empty word
+        return unchecked(DyadicStepMap, shift=0, halvings=0)  # the empty word
 
     def random_element(self, rng: random.Random) -> DyadicStepMap:
         return DyadicStepMap(rng.randint(0, 3), rng.randint(0, 2))

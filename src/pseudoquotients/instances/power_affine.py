@@ -34,6 +34,7 @@ from ..core import (
     int_text,
     require_int,
     require_rational,
+    unchecked,
 )
 from ..syntax import ParseError, parse_int
 
@@ -75,14 +76,6 @@ class PowerAffineMap:
     def __post_init__(self):
         require_int(self.multiplier, "multiplier", 1)
         require_int(self.exponent, "exponent", 1)
-
-    @classmethod
-    def _unchecked(cls, multiplier: int, exponent: int) -> PowerAffineMap:
-        """Unvalidated: the map of integers ``multiplier >= 1`` and ``exponent >= 1``."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "multiplier", multiplier)
-        object.__setattr__(f, "exponent", exponent)
-        return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,13 +147,8 @@ class PowerAffine(Instance):
         self._check_element(g)
         # f(g(x)) = mf * (mg * x**ng)**nf = mf * mg**nf * x**(nf*ng)
         # products and powers of integers >= 1 stay >= 1
-        return PowerAffineMap._unchecked(
-            f.multiplier * bounded_power(g.multiplier, f.exponent, "multiplier"),
-            f.exponent * g.exponent,
-        )
-
-    def apply(self, f, x):
-        return self.action(f)(self._check_point(x))
+        multiplier = f.multiplier * bounded_power(g.multiplier, f.exponent, "multiplier")
+        return unchecked(PowerAffineMap, multiplier=multiplier, exponent=f.exponent * g.exponent)
 
     def action(self, f):
         m, n = self._check_element(f).multiplier, f.exponent
@@ -171,13 +159,11 @@ class PowerAffine(Instance):
         self._check_element(g)
         # (a^q, p) o (b, q) == (b^p, q) o (a, p) == (a^q b^p, p q)
         # powers of integers >= 1 stay >= 1
+        a = bounded_power(f.multiplier, g.exponent, "multiplier")
+        b = bounded_power(g.multiplier, f.exponent, "multiplier")
         return OreWitness(
-            PowerAffineMap._unchecked(
-                bounded_power(f.multiplier, g.exponent, "multiplier"), f.exponent
-            ),
-            PowerAffineMap._unchecked(
-                bounded_power(g.multiplier, f.exponent, "multiplier"), g.exponent
-            ),
+            unchecked(PowerAffineMap, multiplier=a, exponent=f.exponent),
+            unchecked(PowerAffineMap, multiplier=b, exponent=g.exponent),
         )
 
     def canonical_value(self, p: Pseudoquotient) -> RootValue:
@@ -187,7 +173,7 @@ class PowerAffine(Instance):
 
     @property
     def designated_element(self) -> PowerAffineMap:
-        return PowerAffineMap._unchecked(1, 1)  # x -> x
+        return unchecked(PowerAffineMap, multiplier=1, exponent=1)  # x -> x
 
     def random_element(self, rng: random.Random) -> PowerAffineMap:
         return PowerAffineMap(rng.randint(1, 4), rng.randint(1, 3))

@@ -63,6 +63,7 @@ from ..core import (
     require_object,
     require_rational,
     require_sequence,
+    unchecked,
 )
 from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
 
@@ -86,14 +87,6 @@ class TowerPoint:
     def __post_init__(self):
         require_int(self.level, "level", 1)
         require_int(self.payload, "payload")
-
-    @classmethod
-    def _unchecked(cls, level: int, payload: int) -> TowerPoint:
-        """Unvalidated: an integer ``level >= 1`` and an integer payload."""
-        pt = object.__new__(cls)
-        object.__setattr__(pt, "level", level)
-        object.__setattr__(pt, "payload", payload)
-        return pt
 
 
 @dataclass(frozen=True)
@@ -128,14 +121,6 @@ class TowerMap:
                 cleaned[level] = cleaned.get(level, 0) + exponent
         require_int(self.shift, "ascent power", 0)
         object.__setattr__(self, "level_powers", tuple(sorted(cleaned.items())))
-
-    @classmethod
-    def _unchecked(cls, level_powers: tuple[tuple[int, int], ...], shift: int) -> TowerMap:
-        """Unvalidated: sorted ``(level >= 1, exponent >= 1)`` pairs and a ``shift >= 0``."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "level_powers", level_powers)
-        object.__setattr__(f, "shift", shift)
-        return f
 
     def power_at(self, level: int) -> int:
         return dict(self.level_powers).get(level, 0)
@@ -214,10 +199,8 @@ class Tower(Instance):
             shifted = level + f.shift
             merged[shifted] = merged.get(shifted, 0) + exponent
         # shifted levels stay >= 1 and sums of positive exponents stay positive
-        return TowerMap._unchecked(tuple(sorted(merged.items())), f.shift + g.shift)
-
-    def apply(self, f, x):
-        return self.action(f)(self._check_point(x))
+        levels = tuple(sorted(merged.items()))
+        return unchecked(TowerMap, level_powers=levels, shift=f.shift + g.shift)
 
     def action(self, f):
         powers, shift = dict(self._check_element(f).level_powers), f.shift
@@ -230,7 +213,7 @@ class Tower(Instance):
                 return pt  # the same object, so the verifier's intern table finds it by identity
             m, t = squeeze_power(level, k)
             # a level >= 1 moved up by shift >= 0, and an integer payload
-            return TowerPoint._unchecked(level, m * (pt.payload + lift) + t)
+            return unchecked(TowerPoint, level=level, payload=m * (pt.payload + lift) + t)
 
         return act
 
@@ -239,9 +222,11 @@ class Tower(Instance):
         self._check_element(g)
         # levels shifted by a shift >= 0 stay >= 1, and in sorted order; tuple() of
         # a list is sized once, of a generator it over-allocates and shrinks
+        f_levels = tuple([(j + g.shift, k) for j, k in f.level_powers])
+        g_levels = tuple([(j + f.shift, k) for j, k in g.level_powers])
         return OreWitness(
-            TowerMap._unchecked(tuple([(j + g.shift, k) for j, k in f.level_powers]), f.shift),
-            TowerMap._unchecked(tuple([(j + f.shift, k) for j, k in g.level_powers]), g.shift),
+            unchecked(TowerMap, level_powers=f_levels, shift=f.shift),
+            unchecked(TowerMap, level_powers=g_levels, shift=g.shift),
         )
 
     def canonical_value(self, p: Pseudoquotient) -> TowerValue:
@@ -255,7 +240,7 @@ class Tower(Instance):
 
     @property
     def designated_element(self) -> TowerMap:
-        return TowerMap._unchecked((), 0)  # the empty word
+        return unchecked(TowerMap, level_powers=(), shift=0)  # the empty word
 
     def random_element(self, rng: random.Random) -> TowerMap:
         powers = {level: rng.randint(0, 2) for level in rng.sample(range(1, 4), rng.randint(0, 2))}

@@ -16,6 +16,7 @@ from pseudoquotients import (
     UsageError,
 )
 from pseudoquotients.core import Instance
+from pseudoquotients.instances import affine_lattice
 from pseudoquotients.instances.affine_lattice import (
     _bareiss_det_adjugate,
     adjugate,
@@ -325,6 +326,52 @@ def test_singular_matrix_rejected():
         AffineLatticeMap(((1, 0), (0, 0)), (0, 0))
 
 
+# the first two maps random_element draws from random.Random(seed), by dimension and seed
+DRAWN = {
+    (1, 0): [(((1,),), (1,)), (((-5,),), (-1,))],
+    (1, 1): [(((-3,),), (4,)), (((-4,),), (-1,))],
+    (1, 2): [(((-5,),), (-4,)), (((-4,),), (0,))],
+    (2, 0): [(((1, 1), (-5, -1)), (3, 2)), (((1, -1), (2, 0)), (4, -2))],
+    (2, 1): [(((-3, 4), (-4, -1)), (-4, 2)), (((2, 2), (5, 1)), (-2, -4))],
+    (2, 2): [(((-5, -4), (-4, 0)), (-3, 5)), (((-1, -1), (4, -2)), (4, -5))],
+    (3, 0): [
+        (((1, 1, -5), (-1, 3, 2), (1, -1, 2)), (0, 4, -2)),
+        (((3, -3, -1), (-3, -4, 4), (-1, 3, 4)), (-3, -1, -4)),
+    ],
+    (3, 1): [
+        (((-3, 4, -4), (-1, -4, 2), (2, 2, 5)), (1, -2, -4)),
+        (((2, -5, 1), (1, 4, -5), (2, -1, -2)), (4, -4, 0)),
+    ],
+    (3, 2): [
+        (((-5, -4, -4), (0, -3, 5), (-1, -1, 4)), (-2, 4, -5)),
+        (((4, 5, -3), (1, 5, 1), (3, 0, 3)), (2, 3, -1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("dim, seed", sorted(DRAWN))
+def test_random_element_draws_are_pinned(dim, seed):
+    af, rng = AffineLattice(dim), random.Random(seed)
+    drawn = [af.random_element(rng) for _ in DRAWN[dim, seed]]
+    assert drawn == [AffineLatticeMap(matrix, offset) for matrix, offset in DRAWN[dim, seed]]
+
+
+def test_random_element_takes_one_determinant_per_matrix_drawn(monkeypatch):
+    calls = dict.fromkeys(["determinant", "det_adjugate"], 0)
+    for name in calls:
+
+        def counted(matrix, name=name, original=getattr(affine_lattice, name)):
+            calls[name] += 1
+            return original(matrix)
+
+        monkeypatch.setattr(affine_lattice, name, counted)
+    af, rng = AffineLattice(3), random.Random(0)
+    for _ in range(100):
+        af.random_element(rng)
+    # one determinant test per matrix drawn (singular ones are drawn again), none after
+    assert calls["det_adjugate"] == calls["determinant"] > 100
+
+
 def test_dimension_mismatch_rejected():
     af = AffineLattice(2)
     with pytest.raises(UsageError):
@@ -450,9 +497,10 @@ def check_against_oracles(af, g, p, frac, other):
     check_class(af, af.extend_apply(g, p), Instance.extend_apply(af, g, p))
     check_class(af, af.extend_inverse_apply(g, p), Instance.extend_inverse_apply(af, g, p))
     check_class(af, af.frac_apply(frac, p), Instance.frac_apply(af, frac, p))
-    # the normal form of a fraction is unique: equal field for field
-    assert af.frac_compose(frac, other) == Instance.frac_compose(af, frac, other)
-    assert af.frac_compose(other, frac) == Instance.frac_compose(af, other, frac)
+    # the normal form of a fraction is unique: equal field for field to the oracle's, reduced
+    for first, second in ((frac, other), (other, frac)):
+        oracle = Instance.frac_compose(af, first, second)
+        assert af.frac_compose(first, second) == af.reduce_fraction(oracle)
 
 
 def upper(dim, diagonal, offset, shear=0):

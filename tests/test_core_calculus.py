@@ -6,7 +6,16 @@ statements, with related pairs built through `pq_left_multiply` chains so
 that both the positive and the negative branches occur.
 """
 
-from pseudoquotients import GroupFraction, Pseudoquotient, frac_inverse
+import pytest
+
+from pseudoquotients import (
+    AffineLattice,
+    GroupFraction,
+    Instance,
+    Pseudoquotient,
+    UsageError,
+    frac_inverse,
+)
 
 TRIALS = 60
 
@@ -324,15 +333,19 @@ def ore_equal(instance, first, second):
 
 
 def test_reduce_fraction_keeps_the_bijection(instance, rng):
-    # random fractions, and chains of up to four: reduced by frac_compose
-    # where the instance reduces, so reduce_fraction meets its own output
+    # chains of up to four, each step checked against the generic Ore route; the
+    # affine lattice reduces the oracle's result, and reduce_fraction meets its own output
     for _ in range(TRIALS // 3):
         frac = instance.random_fraction(rng)
         for _ in range(4):
-            reduced = instance.reduce_fraction(frac)
-            assert ore_equal(instance, reduced, frac) and ore_equal(instance, frac, reduced)
-            assert instance.reduce_fraction(reduced) == reduced
-            frac = instance.frac_compose(frac, instance.random_fraction(rng))
+            step = instance.random_fraction(rng)
+            oracle = reduced = Instance.frac_compose(instance, frac, step)
+            if isinstance(instance, AffineLattice):
+                reduced = instance.reduce_fraction(oracle)
+                assert instance.reduce_fraction(reduced) == reduced
+            assert ore_equal(instance, reduced, oracle) and ore_equal(instance, oracle, reduced)
+            frac = instance.frac_compose(frac, step)
+            assert frac == reduced
 
 
 def test_frac_equal_agrees_with_the_ore_rule(instance, rng):
@@ -342,3 +355,35 @@ def test_frac_equal_agrees_with_the_ore_rule(instance, rng):
         same = instance.frac_compose(GroupFraction(padding, padding), f1)
         for f2 in (f1, same, instance.random_fraction(rng)):
             assert instance.frac_equal(f1, f2) == ore_equal(instance, f1, f2)
+
+
+# --- the hook contract ---------------------------------------------------
+
+
+def stub_instance(**methods):
+    """An ``Instance`` subclass on int elements and points, every other abstract method a stub."""
+    namespace = dict.fromkeys(Instance.__abstractmethods__ - {"action"}, lambda self, *a: None)
+    namespace.update(element_type=int, point_type=int, **methods)
+    return type("Stub", (Instance,), namespace)
+
+
+def test_an_instance_without_action_cannot_be_instantiated():
+    with pytest.raises(TypeError, match="action"):
+        stub_instance()()
+    # apply is derived, no longer a hook: defining it alone is not enough
+    with pytest.raises(TypeError, match="action"):
+        stub_instance(apply=lambda self, f, x: f + x)()
+
+
+def test_apply_is_the_checked_action():
+    def action(self, f):
+        self._check_element(f)
+        return lambda x: x + f
+
+    shift = stub_instance(action=action)()
+    for f, x in ((0, 0), (3, 4), (-2, 7)):
+        assert shift.apply(f, x) == shift.action(f)(x) == x + f
+    with pytest.raises(UsageError, match="expected int, got str"):
+        shift.apply("3", 4)
+    with pytest.raises(UsageError, match="expected int, got float"):
+        shift.apply(3, 4.0)

@@ -1,13 +1,14 @@
 """Hook results built without validation are exactly what the public constructors build.
 
-``compose``, ``ore_complete``, ``reduce_fraction`` and ``designated_element``
-build their elements through a private unchecked constructor, relying on
-invariants of each instance's algebra; so do the affine lattice's closed
-forms of ``extend_apply``, ``extend_inverse_apply`` and ``frac_compose``.
-Rebuilt from its fields through the public constructor, which validates
-and normalizes, every such element must come back equal and with the same
-hash: a result that broke an invariant would be refused, or normalized
-into a different value.
+``compose``, ``ore_complete`` and ``designated_element`` build their
+elements through ``core.unchecked``, relying on invariants of each
+instance's algebra; so do the affine lattice's ``reduce_fraction``,
+``random_element`` and closed forms of ``extend_apply``,
+``extend_inverse_apply`` and ``frac_compose``, and the tower's action on
+points.  Rebuilt from its fields through the public constructor, which
+validates and normalizes, every such value must come back equal and with
+the same hash: a result that broke an invariant would be refused, or
+normalized into a different value.
 """
 
 from dataclasses import fields
@@ -20,8 +21,12 @@ from pseudoquotients import (
     DomainError,
     DyadicStepMap,
     GroupFraction,
+    Instance,
     PowerAffineMap,
+    Tower,
+    TowerConfig,
     TowerMap,
+    TowerPoint,
 )
 from pseudoquotients.instances.affine_lattice import identity_matrix, mat_scale
 
@@ -43,7 +48,9 @@ def hook_results(instance, rng):
         for _ in range(CHAIN):
             h = instance.compose(f, g)
             w = instance.ore_complete(f, g)
-            reduced = instance.reduce_fraction(GroupFraction(f, g))
+            reduced = Instance.frac_compose(instance, frac, GroupFraction(f, g))
+            if isinstance(instance, AffineLattice):
+                reduced = instance.reduce_fraction(reduced)
             frac = instance.frac_compose(frac, GroupFraction(f, g))
             yield from (h, w.f_prime, w.g_prime, reduced.den, reduced.num, frac.den, frac.num)
             # class representatives, each moved from the last
@@ -61,7 +68,8 @@ def test_hook_results_rebuild_equal(instance, rng):
 
 
 def test_sampled_elements_rebuild_equal(instance, rng):
-    # random_element is outside input too: it goes through the public constructor
+    # random_element builds through the public constructor, or (affine) through
+    # core.unchecked after its own determinant test
     for _ in range(TRIALS):
         f = instance.random_element(rng)
         assert rebuilt(f) == f
@@ -97,6 +105,24 @@ def test_affine_class_denominator_is_a_positive_scalar(dim, rng):
                 again = rebuilt(q.denominator)
                 assert again == q.denominator and hash(again) == hash(q.denominator)
             p = q
+
+
+@pytest.mark.parametrize(
+    "config", [TowerConfig(), TowerConfig(ascend_add=-2, squeeze_mul=-3, squeeze_const=5)]
+)
+def test_tower_moved_points_rebuild_equal(config, rng):
+    # the invariant behind the unchecked moved point: a level >= 1 and an integer payload
+    tower, moved = Tower(config), 0
+    for _ in range(TRIALS):
+        f, x = tower.random_element(rng), tower.random_point(rng)
+        for _ in range(CHAIN):
+            for y in (tower.apply(f, x), tower.action(f)(x)):
+                assert type(y) is TowerPoint
+                again = TowerPoint(y.level, y.payload)
+                assert again == y and hash(again) == hash(y)
+            moved += y is not x
+            x = y
+    assert moved > TRIALS  # most draws move their point; the others return it as it is
 
 
 @pytest.mark.parametrize(
