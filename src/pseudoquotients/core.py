@@ -127,7 +127,7 @@ def require_object(value: Any, what: str, keys: Collection[str]) -> dict:
     return value
 
 
-_new = object.__new__
+_new, _hold = object.__new__, object.__setattr__
 
 
 def unchecked(cls: type, **fields: Any) -> Any:
@@ -135,11 +135,13 @@ def unchecked(cls: type, **fields: Any) -> Any:
 
     Hook results go through here, each under an invariant of its algebra
     that makes the fields valid, named at the call site; values from
-    outside go through the public constructor.  Writing the instance
-    dictionary directly skips a frozen dataclass's ``__setattr__``.
+    outside go through the public constructor.  ``object.__setattr__``
+    skips a frozen dataclass's ``__setattr__`` and, unlike writing
+    ``value.__dict__``, leaves CPython 3.11+ its compact per-object storage.
     """
     value = _new(cls)
-    value.__dict__.update(fields)
+    for name, field in fields.items():
+        _hold(value, name, field)
     return value
 
 

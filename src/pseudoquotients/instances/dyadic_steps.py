@@ -95,7 +95,10 @@ class StepFunction:
         while nums and len(nums) % 2 == 0 and nums[::2] == nums[1::2]:
             del nums[1::2]
             width += 1
-        self.__dict__.update(width=width, offset=offset, numerators=tuple(nums), denominator=den)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", den)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:

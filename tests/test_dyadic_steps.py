@@ -357,5 +357,6 @@ def test_points_are_integers_over_one_denominator_in_lowest_terms(rng):
             assert not point.numerators or 0 not in (point.numerators[0], point.numerators[-1])
             # equal functions have equal fields, whichever way they were built
             rebuilt = StepFunction(point.coefficients)
+            assert set(vars(point)) == {"width", "offset", "numerators", "denominator"}
             assert fields(rebuilt) == fields(point)
             assert hash(rebuilt) == hash(point)

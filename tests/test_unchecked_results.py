@@ -8,10 +8,13 @@ instance's algebra; so do the affine lattice's ``reduce_fraction``,
 points.  Rebuilt from its fields through the public constructor, which
 validates and normalizes, every such value must come back equal and with
 the same hash: a result that broke an invariant would be refused, or
-normalized into a different value.
+normalized into a different value.  ``core.unchecked`` takes any field
+names, so each such value must also hold exactly its dataclass fields,
+and no more memory than a value built by a generated ``__init__``.
 """
 
-from dataclasses import fields
+import tracemalloc
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -23,19 +26,26 @@ from pseudoquotients import (
     GroupFraction,
     Instance,
     PowerAffineMap,
+    StepFunction,
     Tower,
     TowerConfig,
     TowerMap,
     TowerPoint,
 )
+from pseudoquotients.core import unchecked
 from pseudoquotients.instances.affine_lattice import identity_matrix, mat_scale
 
 TRIALS = 20
 CHAIN = 3
 
 
+def assert_holds_its_fields(value):
+    assert set(vars(value)) == {field.name for field in fields(value)}
+
+
 def rebuilt(f):
     """``f`` rebuilt from its fields through its type's public constructor."""
+    assert_holds_its_fields(f)
     return type(f)(*(getattr(f, field.name) for field in fields(f)))
 
 
@@ -118,11 +128,58 @@ def test_tower_moved_points_rebuild_equal(config, rng):
         for _ in range(CHAIN):
             for y in (tower.apply(f, x), tower.action(f)(x)):
                 assert type(y) is TowerPoint
+                assert_holds_its_fields(y)
                 again = TowerPoint(y.level, y.payload)
                 assert again == y and hash(again) == hash(y)
             moved += y is not x
             x = y
     assert moved > TRIALS  # most draws move their point; the others return it as it is
+
+
+@dataclass(frozen=True)
+class _Two:
+    level: int
+    payload: int
+
+
+@dataclass(frozen=True)
+class _Four:
+    width: int
+    offset: int
+    numerators: tuple
+    denominator: int
+
+
+def bytes_per_value(build, count=2000):
+    """The memory each of ``count`` values of ``build()`` holds, list entry included."""
+    tracemalloc.start()
+    try:
+        values = [build() for _ in range(count)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == count
+    return held / count
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [
+        (lambda: unchecked(TowerPoint, level=1, payload=5), lambda: _Two(1, 5)),
+        (
+            lambda: unchecked(StepFunction, width=0, offset=0, numerators=(), denominator=1),
+            lambda: _Four(0, 0, (), 1),
+        ),
+        # the zero function: every field is a shared constant, only the value is new
+        (lambda: StepFunction(()), lambda: _Four(0, 0, (), 1)),
+    ],
+    ids=["unchecked-tower-point", "unchecked-step-function", "public-step-function"],
+)
+def test_values_built_without_init_are_as_compact_as_generated_init_ones(build, reference):
+    # writing the instance __dict__ directly gives each value a full dict on
+    # CPython 3.11+, over twice the bytes; the verifier's search holds many points
+    assert_holds_its_fields(build())
+    assert bytes_per_value(build) <= 1.25 * bytes_per_value(reference)
 
 
 @pytest.mark.parametrize(
