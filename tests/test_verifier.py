@@ -286,7 +286,13 @@ def test_cancellation_builds_one_union_base_per_g_length(monkeypatch):
     assert len(images) == 78
 
 
-def test_cancellation_builds_own_layers_only_for_split_bases(monkeypatch):
+@pytest.mark.parametrize(
+    "config",
+    [{"preset": "tower", "max_depth": 6}, {**json.loads(FIXTURE.read_text()), "max_depth": 5}],
+    ids=["tower", "cancellation-fail"],
+)
+def test_cancellation_builds_layers_only_on_union_bases(monkeypatch, config):
+    # splitting bases read their splits off the union layers, so none gets layers of its own
     bases, searches = _layer_bases(monkeypatch)
     made = []
 
@@ -296,13 +302,13 @@ def test_cancellation_builds_own_layers_only_for_split_bases(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(verifier, "_Bases", Recording)
-    report = verify(preset("tower", 6))
+    report = verify(presentation_from_config(config))
     assert not report.cancellation.ok
     (search,) = searches
-    splits = sum(sum(b.split) for b in made)
-    assert splits > 0
-    assert len(bases) <= 1 + len(_ore_bases(search)) + len(made)
-    assert sum(len(b._layers) for b in made) <= splits
+    assert sum(sum(b.split) for b in made) > 0
+    # the samples, the Ore bases, and one union base for each length of g
+    assert len(made) <= config["max_depth"]
+    assert bases <= {search.samples, *_ore_bases(search), *(b.union for b in made)}
 
 
 # ----------------------------------------------------------------------

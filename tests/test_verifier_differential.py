@@ -6,8 +6,8 @@ reports must agree on seeded random integer-domain presentations, some of
 which fail injectivity or right cancellation, and on the dyadic-steps
 preset at depths 1-4.  The cancellation search is also compared on its
 own on one sample and on repeated samples, which ``verify`` refuses, and
-each cancellation base's layers, read off its union base, must equal the
-layers built on the base itself.
+each cancellation base's first split, read off its union base's layers,
+must equal the first split of the layers built on the base itself.
 """
 
 import itertools
@@ -317,8 +317,16 @@ def test_cancellation_matches_with_split_and_split_free_bases_of_one_length(seed
     assert result == verify_right_cancellation(presentation)
 
 
-def _in_points(search, layer) -> list:
-    return [(tuple(search._points[p] for p in action), word) for action, word in layer.items()]
+def _direct_split(search, base, n: int, len1: int, len2: int):
+    """The first ``(f1, f2)`` agreeing only past the first ``n`` ids of layers built on ``base``."""
+    by_tail: dict[tuple, list] = {}
+    for action, word in search.layer(base, len2).items():
+        by_tail.setdefault(action[n:], []).append((action[:n], word))
+    for action, f1 in search.layer(base, len1).items():
+        for head, f2 in by_tail.get(action[n:], ()):
+            if head != action[:n]:
+                return f1, f2
+    return None
 
 
 LAYER_CASES = [
@@ -332,15 +340,17 @@ LAYER_CASES = [
 
 @pytest.mark.parametrize("index", range(len(LAYER_CASES)))
 def test_projected_layers_equal_direct_layers(index):
-    # each base's layers read off its union base, against layer() built on the base itself
+    # each base's first split, read off its union layers through the base's
+    # positions, against the split of the layers built on the base itself
     presentation = LAYER_CASES[index]
     depth = presentation.max_depth
     search, direct = verifier._Search(presentation), verifier._Search(presentation)
+    n = len(search.samples)
     for len3 in range(1, depth + 1):
         bases = verifier._Bases(search, len3)
         for i, image in enumerate(bases.words):
             points = [search._points[p] for p in search.samples + image]
             base = tuple(map(direct._intern, points))
-            for length in range(depth + 1):
-                projected = _in_points(search, bases.layer(i, length))
-                assert projected == _in_points(direct, direct.layer(base, length))
+            for len1, len2 in itertools.product(range(1, depth + 1), repeat=2):
+                split = bases._first_split(i, len1, len2)
+                assert split == _direct_split(direct, base, n, len1, len2)
