@@ -228,8 +228,9 @@ class Instance(ABC):
 
     An instance may also override a derived method of the calculus
     (``extend_apply``, ``extend_inverse_apply``, ``frac_apply``,
-    ``frac_compose``) with a closed form that returns an equivalent
-    result, such as a normal form of the class or fraction.  The method
+    ``frac_compose``, ``frac_equal``) with a closed form that returns an
+    equivalent result, such as a normal form of the class or fraction, or
+    the Ore route's own result without building its witness.  The method
     here then stays its test oracle: called as
     ``Instance.extend_apply(instance, g, p)``, it takes the generic Ore
     route.

@@ -21,6 +21,13 @@ have equal fields.  ``t^m d^n`` and its inverse, which gives the class of
 form, so no action writes out a cell.  Both generators preserve the
 integral and the L1 norm, so a class inherits both from any numerator.
 
+The fraction calculus has closed forms, which override the generic Ore
+route of ``core.Instance`` and return exactly its results:
+``frac_compose``, ``frac_apply`` and ``frac_equal`` take the two branches
+of the Ore witness (``halvings`` of the first element at most the
+second's, or greater) as four integers and multiply them into each side
+by the rule above, building one :class:`DyadicStepMap` per side.
+
 Sizes are bounded: a factor ``2**n`` of more than ``core.MAX_POWER_BITS``
 bits is a domain error, and so is writing out more than :data:`MAX_CELLS`
 cells of one function (its ``coefficients``, its text, its canonical JSON).
@@ -42,6 +49,7 @@ from itertools import chain, repeat
 
 from ..core import (
     DomainError,
+    GroupFraction,
     Instance,
     OreWitness,
     Preset,
@@ -170,6 +178,19 @@ class DyadicStepMap:
 _LETTER = re.compile(r"(?P<gen>[td])(?:\^(?P<exp>-?\d+))?")
 
 
+def _witness(f: DyadicStepMap, g: DyadicStepMap) -> tuple[int, int, int, int]:
+    """``(f'.shift, f'.halvings, g'.shift, g'.halvings)`` of the smallest ``f' o g == g' o f``."""
+    # each gap is the larger halvings minus the smaller, and each shift a
+    # product of integers >= 0 or a max(0, ...): every field stays >= 0
+    if f.halvings <= g.halvings:
+        gap = g.halvings - f.halvings
+        return bounded_power(2, gap, "shift factor") * f.shift, 0, g.shift, gap
+    gap = f.halvings - g.halvings
+    lifted = bounded_power(2, gap, "shift factor") * g.shift
+    # cancel the common shift part
+    return max(0, f.shift - lifted), gap, max(0, lifted - f.shift), 0
+
+
 class DyadicSteps(Instance):
     """The shift/refine instance on rational step functions."""
 
@@ -190,24 +211,48 @@ class DyadicSteps(Instance):
         return lambda x: _moved(x, shift, n)
 
     def ore_complete(self, f, g):
-        self._check_element(f)
-        self._check_element(g)
-        # each gap is the larger halvings minus the smaller, and each shift a
-        # product of integers >= 0 or a max(0, ...): every field stays >= 0
-        if f.halvings <= g.halvings:
-            gap = g.halvings - f.halvings
-            shift = bounded_power(2, gap, "shift factor") * f.shift
-            return OreWitness(
-                unchecked(DyadicStepMap, shift=shift, halvings=0),
-                unchecked(DyadicStepMap, shift=g.shift, halvings=gap),
-            )
-        gap = f.halvings - g.halvings
-        lifted = bounded_power(2, gap, "shift factor") * g.shift
-        # smallest witness: cancel the common shift part
+        fs, fn, gs, gn = _witness(self._check_element(f), self._check_element(g))
         return OreWitness(
-            unchecked(DyadicStepMap, shift=max(0, f.shift - lifted), halvings=gap),
-            unchecked(DyadicStepMap, shift=max(0, lifted - f.shift), halvings=0),
+            unchecked(DyadicStepMap, shift=fs, halvings=fn),
+            unchecked(DyadicStepMap, shift=gs, halvings=gn),
         )
+
+    # --- the fraction calculus in closed form ---------------------------
+    # Each is the generic Ore route with its witness kept as four integers: the
+    # same checks and bounded powers, in that route's order, and an equal result.
+    # A halvings of the witness is 0 or a gap whose 2^gap passed bounded_power
+    # in _witness, so a bit shift lifts by it; shifted sums of integers >= 0
+    # stay >= 0.
+
+    def frac_compose(self, first: GroupFraction, second: GroupFraction) -> GroupFraction:
+        """``(f' D1)^-1 o (g' N2)`` for the witness ``f' D2 == g' N1``, as two normal forms."""
+        d2, n1 = self._check_element(second.den), self._check_element(first.num)
+        fs, fn, gs, gn = _witness(d2, n1)
+        d1, n2 = self._check_element(first.den), self._check_element(second.num)
+        return GroupFraction(
+            unchecked(DyadicStepMap, shift=fs + (d1.shift << fn), halvings=fn + d1.halvings),
+            unchecked(DyadicStepMap, shift=gs + (n2.shift << gn), halvings=gn + n2.halvings),
+        )
+
+    def frac_apply(self, frac: GroupFraction, p: Pseudoquotient) -> Pseudoquotient:
+        """``D^-1 o N`` moves ``x / E`` to ``g'(x) / (f' D)``, for the witness ``f' E == g' N``."""
+        e, n = self._check_element(p.denominator), self._check_element(frac.num)
+        fs, fn, gs, gn = _witness(e, n)
+        x = _moved(self._check_point(p.numerator), gs, gn)
+        d = self._check_element(frac.den)
+        den = unchecked(DyadicStepMap, shift=fs + (d.shift << fn), halvings=fn + d.halvings)
+        return Pseudoquotient(x, den)
+
+    def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
+        """Whether ``f' N1 == g' N2`` for the witness ``f' D2 == g' D1``."""
+        if first == second:  # pure optimization, observably equivalent
+            return True
+        d2, d1 = self._check_element(second.den), self._check_element(first.den)
+        fs, fn, gs, gn = _witness(d2, d1)
+        n1, n2 = self._check_element(first.num), self._check_element(second.num)
+        if fn + n1.halvings != gn + n2.halvings:
+            return False
+        return fs + (n1.shift << fn) == gs + (n2.shift << gn)
 
     def canonical_value(self, p: Pseudoquotient) -> StepFunction:
         """Invert the denominator: ``xi(s) = 2**n * x(2**n * s + m)``."""

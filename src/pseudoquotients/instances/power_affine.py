@@ -12,6 +12,15 @@ Composition, the Ore witness and the action raise integers to exponents
 taken from the input; a power of more than ``core.MAX_POWER_BITS`` bits
 is a domain error.
 
+The fraction calculus has closed forms, which override the generic Ore
+route of ``core.Instance`` and return exactly its results.  With
+``first = (a1, p1)^-1 o (b1, q1)`` and ``second = (a2, p2)^-1 o (b2, q2)``:
+
+* ``frac_compose(first, second) = (a1^p2 a2^q1, p1 p2)^-1 o (b1^p2 b2^q1, q1 q2)``;
+* ``frac_apply((a, d)^-1 o (b, q), x / (m, n)) = (b^n x^q) / (m^q a^n, n d)``;
+* ``frac_equal(first, second)`` compares ``(a2^p1 b1^p2, p2 q1)`` with
+  ``(a1^p2 b2^p1, p1 q2)``.
+
 Text syntax: an element ``m*x^n`` (``m*`` and ``^n`` default to 1, as in
 ``x`` or ``5*x``), a point ``12``.
 """
@@ -25,6 +34,7 @@ from fractions import Fraction
 
 from ..core import (
     DomainError,
+    GroupFraction,
     Instance,
     OreWitness,
     Preset,
@@ -165,6 +175,55 @@ class PowerAffine(Instance):
             unchecked(PowerAffineMap, multiplier=a, exponent=f.exponent),
             unchecked(PowerAffineMap, multiplier=b, exponent=g.exponent),
         )
+
+    # --- the fraction calculus in closed form ---------------------------
+    # Each is the generic Ore route with its witness multiplied out: the same
+    # checks and bounded powers, in that route's order, and an equal result.
+
+    def frac_compose(self, first: GroupFraction, second: GroupFraction) -> GroupFraction:
+        """``(a1^p2 a2^q1, p1 p2)^-1 o (b1^p2 b2^q1, q1 q2)``.
+
+        Here ``first = (a1, p1)^-1 o (b1, q1)`` and ``second = (a2, p2)^-1 o (b2, q2)``.
+        """
+        a2, p2 = self._check_element(second.den).multiplier, second.den.exponent
+        b1, q1 = self._check_element(first.num).multiplier, first.num.exponent
+        den_lift = bounded_power(a2, q1, "multiplier")
+        num_lift = bounded_power(b1, p2, "multiplier")
+        a1, p1 = self._check_element(first.den).multiplier, first.den.exponent
+        den_m = den_lift * bounded_power(a1, p2, "multiplier")
+        b2, q2 = self._check_element(second.num).multiplier, second.num.exponent
+        num_m = num_lift * bounded_power(b2, q1, "multiplier")
+        # products and powers of integers >= 1 stay >= 1
+        return GroupFraction(
+            unchecked(PowerAffineMap, multiplier=den_m, exponent=p2 * p1),
+            unchecked(PowerAffineMap, multiplier=num_m, exponent=q1 * q2),
+        )
+
+    def frac_apply(self, frac: GroupFraction, p: Pseudoquotient) -> Pseudoquotient:
+        """``(a, d)^-1 (b, q)`` moves the class ``x / (m, n)`` to ``(b^n x^q) / (m^q a^n, n d)``."""
+        m, n = self._check_element(p.denominator).multiplier, p.denominator.exponent
+        b, q = self._check_element(frac.num).multiplier, frac.num.exponent
+        den_lift = bounded_power(m, q, "multiplier")
+        num_lift = bounded_power(b, n, "multiplier")
+        x = num_lift * bounded_power(self._check_point(p.numerator), q, "power")
+        a, d = self._check_element(frac.den).multiplier, frac.den.exponent
+        den_m = den_lift * bounded_power(a, n, "multiplier")
+        # products and powers of integers >= 1 stay >= 1
+        return Pseudoquotient(x, unchecked(PowerAffineMap, multiplier=den_m, exponent=n * d))
+
+    def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
+        """Whether ``(a2^p1 b1^p2, p2 q1) == (a1^p2 b2^p1, p1 q2)``."""
+        if first == second:  # pure optimization, observably equivalent
+            return True
+        a2, p2 = self._check_element(second.den).multiplier, second.den.exponent
+        a1, p1 = self._check_element(first.den).multiplier, first.den.exponent
+        left = bounded_power(a2, p1, "multiplier")
+        right = bounded_power(a1, p2, "multiplier")
+        b1, q1 = self._check_element(first.num).multiplier, first.num.exponent
+        left *= bounded_power(b1, p2, "multiplier")
+        b2, q2 = self._check_element(second.num).multiplier, second.num.exponent
+        right *= bounded_power(b2, p1, "multiplier")
+        return p2 * q1 == p1 * q2 and left == right
 
     def canonical_value(self, p: Pseudoquotient) -> RootValue:
         f = self._check_element(p.denominator)

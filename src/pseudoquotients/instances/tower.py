@@ -33,6 +33,17 @@ value of ``x / (P, n)`` inverts them over Q: a :class:`TowerValue` at
 level ``x.level - n`` with a rational payload.  A factor ``a^k`` of more
 than ``core.MAX_POWER_BITS`` bits is a domain error.
 
+The fraction calculus has closed forms, which override the generic Ore
+route of ``core.Instance`` and return exactly its results.  Write
+``P↑k`` for ``level_powers`` moved up ``k`` levels and ``⊕`` for adding
+exponents level by level; with ``first = (D1, a1)^-1 o (N1, b1)`` and
+``second = (D2, a2)^-1 o (N2, b2)``:
+
+* ``frac_compose(first, second) = (D1↑a2 ⊕ D2↑b1, a1 + a2)^-1 o (N1↑a2 ⊕ N2↑b1, b1 + b2)``;
+* ``frac_apply((D, a)^-1 o (N, b), x / (E, s)) = (N↑s, b)(x) / (E↑b ⊕ D↑s, s + a)``;
+* ``frac_equal(first, second)`` holds iff ``a2 + b1 == a1 + b2`` and
+  ``D2↑a1 ⊕ N1↑a2 == D1↑a2 ⊕ N2↑a1``.
+
 Fraction equality compares normal forms, which is complete only when
 distinct normal forms act differently on the completed space; squeezes
 of finite order (``a = -1``, or ``a = 1`` with ``e = 0``) break that.
@@ -54,6 +65,7 @@ from fractions import Fraction
 
 from ..core import (
     DomainError,
+    GroupFraction,
     Instance,
     OreWitness,
     Preset,
@@ -180,6 +192,21 @@ def _letter(match: re.Match, exponent: int) -> TowerMap:
     return TowerMap(((int(match["level"]), exponent),), 0)
 
 
+def _merged(low, low_lift: int, high, high_lift: int) -> dict[int, int]:
+    """``low↑low_lift ⊕ high↑high_lift``: two ``level_powers`` shifted up, exponents added."""
+    merged = {level + low_lift: k for level, k in low}
+    for level, k in high:
+        level += high_lift
+        merged[level] = merged.get(level, 0) + k
+    return merged
+
+
+def _normal(merged: dict[int, int], shift: int) -> TowerMap:
+    # levels shifted by a shift >= 0 stay >= 1, and sums of positive exponents
+    # stay positive; sorting the pairs gives the normal form
+    return unchecked(TowerMap, level_powers=tuple(sorted(merged.items())), shift=shift)
+
+
 class Tower(Instance):
     """The tower instance for one configuration."""
 
@@ -193,14 +220,8 @@ class Tower(Instance):
     def compose(self, f, g):
         self._check_element(f)
         self._check_element(g)
-        merged: dict[int, int] = dict(f.level_powers)
-        for level, exponent in g.level_powers:
-            # ascending by f.shift renames g's squeeze levels
-            shifted = level + f.shift
-            merged[shifted] = merged.get(shifted, 0) + exponent
-        # shifted levels stay >= 1 and sums of positive exponents stay positive
-        levels = tuple(sorted(merged.items()))
-        return unchecked(TowerMap, level_powers=levels, shift=f.shift + g.shift)
+        # ascending by f.shift renames g's squeeze levels
+        return _normal(_merged(f.level_powers, 0, g.level_powers, f.shift), f.shift + g.shift)
 
     def action(self, f):
         powers, shift = dict(self._check_element(f).level_powers), f.shift
@@ -228,6 +249,47 @@ class Tower(Instance):
             unchecked(TowerMap, level_powers=f_levels, shift=f.shift),
             unchecked(TowerMap, level_powers=g_levels, shift=g.shift),
         )
+
+    # --- the fraction calculus in closed form ---------------------------
+    # Each is the generic Ore route with its witness multiplied out: the same
+    # checks, in that route's order, and an equal result.
+
+    def frac_compose(self, first: GroupFraction, second: GroupFraction) -> GroupFraction:
+        """``(D1↑a2 ⊕ D2↑b1, a1 + a2)^-1 o (N1↑a2 ⊕ N2↑b1, b1 + b2)``.
+
+        Here ``first = (D1, a1)^-1 o (N1, b1)`` and ``second = (D2, a2)^-1 o (N2, b2)``.
+        """
+        d2, n1 = self._check_element(second.den), self._check_element(first.num)
+        d1, n2 = self._check_element(first.den), self._check_element(second.num)
+        den = _merged(d2.level_powers, n1.shift, d1.level_powers, d2.shift)
+        num = _merged(n1.level_powers, d2.shift, n2.level_powers, n1.shift)
+        return GroupFraction(_normal(den, d2.shift + d1.shift), _normal(num, n1.shift + n2.shift))
+
+    def frac_apply(self, frac: GroupFraction, p: Pseudoquotient) -> Pseudoquotient:
+        """``(D, a)^-1 o (N, b)`` moves ``x / (E, s)`` to ``(N↑s, b)(x) / (E↑b ⊕ D↑s, s + a)``."""
+        e, n = self._check_element(p.denominator), self._check_element(frac.num)
+        x = self._check_point(p.numerator)
+        level = x.level + n.shift
+        k = n.power_at(level - e.shift)
+        if k or n.shift:  # else (N↑s, b) fixes x, and the class keeps its numerator object
+            m, t = self.config.squeeze_power(level, k)
+            payload = m * (x.payload + n.shift * self.config.ascend_add) + t
+            # a level >= 1 moved up by a shift >= 0, and an integer payload
+            x = unchecked(TowerPoint, level=level, payload=payload)
+        d = self._check_element(frac.den)
+        den = _normal(_merged(e.level_powers, n.shift, d.level_powers, e.shift), e.shift + d.shift)
+        return Pseudoquotient(x, den)
+
+    def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
+        """Whether ``a2 + b1 == a1 + b2`` and ``D2↑a1 ⊕ N1↑a2 == D1↑a2 ⊕ N2↑a1``."""
+        if first == second:  # pure optimization, observably equivalent
+            return True
+        d2, d1 = self._check_element(second.den), self._check_element(first.den)
+        n1, n2 = self._check_element(first.num), self._check_element(second.num)
+        if d2.shift + n1.shift != d1.shift + n2.shift:
+            return False
+        left = _merged(d2.level_powers, d1.shift, n1.level_powers, d2.shift)
+        return left == _merged(d1.level_powers, d2.shift, n2.level_powers, d1.shift)
 
     def canonical_value(self, p: Pseudoquotient) -> TowerValue:
         f = self._check_element(p.denominator)
