@@ -12,7 +12,8 @@ satisfy ``f' g == g' f``; writing them with integer adjugates rather than
 rational inverses makes every witness entry an integer by construction.
 A determinant comes with its adjugate, from explicit cofactors for
 ``n <= 3`` and from one fraction-free Gauss-Jordan pass for larger ``n``;
-the same computation validates each map.
+the same computation validates each map.  Matrix products likewise take
+explicit formulas for ``n <= 3`` and the n-D helpers otherwise.
 Classes are identified with rational vectors: the class of
 ``(x, (M, b))`` is the exact solution ``M^-1 (x - b)`` in ``Q^n``.  Its
 normal form is ``pq(y; (D I, 0))`` with ``D > 0`` and ``gcd(D, y) == 1``,
@@ -157,12 +158,28 @@ def adjugate(matrix) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
-    columns = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in a)
+    """``a @ b`` for square matrices of one size; explicit products for n <= 3."""
+    n = len(a)
+    if not 0 < n <= 3:
+        return _nd_mat_mul(a, b)
+    if n == 1:
+        return ((a[0][0] * b[0][0],),)
+    if n == 2:
+        (a1, a2), (a3, a4) = a
+        (b1, b2), (b3, b4) = b
+        return ((a1 * b1 + a2 * b3, a1 * b2 + a2 * b4), (a3 * b1 + a4 * b3, a3 * b2 + a4 * b4))
+    (a1, a2, a3), (a4, a5, a6), (a7, a8, a9) = a
+    (b1, b2, b3), (b4, b5, b6), (b7, b8, b9) = b
+    return (
+        (a1 * b1 + a2 * b4 + a3 * b7, a1 * b2 + a2 * b5 + a3 * b8, a1 * b3 + a2 * b6 + a3 * b9),
+        (a4 * b1 + a5 * b4 + a6 * b7, a4 * b2 + a5 * b5 + a6 * b8, a4 * b3 + a5 * b6 + a6 * b9),
+        (a7 * b1 + a8 * b4 + a9 * b7, a7 * b2 + a8 * b5 + a9 * b8, a7 * b3 + a8 * b6 + a9 * b9),
+    )
 
 
 def mat_vec(a, v) -> Vector:
-    return tuple(sum(map(mul, row, v)) for row in a)
+    """``a @ v``, as :func:`mat_vec_add` with ``d == 0``."""
+    return mat_vec_add(a, v, 0, v)
 
 
 def mat_scale(a, c: int) -> Matrix:
@@ -170,7 +187,33 @@ def mat_scale(a, c: int) -> Matrix:
 
 
 def mat_vec_add(a, x, d: int, v) -> Vector:
-    """``a @ x + d * v``."""
+    """``a @ x + d * v``; explicit products for n <= 3."""
+    n = len(a)
+    if not 0 < n <= 3:
+        return _nd_mat_vec_add(a, x, d, v)
+    if n == 1:
+        return (a[0][0] * x[0] + d * v[0],)
+    if n == 2:
+        (a1, a2), (a3, a4) = a
+        x1, x2 = x
+        v1, v2 = v
+        return (a1 * x1 + a2 * x2 + d * v1, a3 * x1 + a4 * x2 + d * v2)
+    (a1, a2, a3), (a4, a5, a6), (a7, a8, a9) = a
+    x1, x2, x3 = x
+    v1, v2, v3 = v
+    return (
+        a1 * x1 + a2 * x2 + a3 * x3 + d * v1,
+        a4 * x1 + a5 * x2 + a6 * x3 + d * v2,
+        a7 * x1 + a8 * x2 + a9 * x3 + d * v3,
+    )
+
+
+def _nd_mat_mul(a, b) -> Matrix:
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in a)
+
+
+def _nd_mat_vec_add(a, x, d: int, v) -> Vector:
     return tuple([sum(map(mul, row, x)) + d * c for row, c in zip(a, v)])
 
 
@@ -194,7 +237,10 @@ def lowest_terms(d: int, vector: Vector, matrix: Matrix = ()) -> tuple[int, Vect
     g = math.gcd(d, *vector, *chain.from_iterable(matrix))
     if d < 0:
         g = -g
-    return d // g, tuple(c // g for c in vector), tuple(tuple(e // g for e in r) for r in matrix)
+    if g == 1:
+        return d, vector, matrix
+    vector = tuple([c // g for c in vector])
+    return d // g, vector, tuple([tuple([e // g for e in r]) for r in matrix])
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +301,10 @@ class AffineLattice(Instance):
         return cls(dim)
 
     def _check_element(self, f) -> AffineLatticeMap:
-        if super()._check_element(f).dim != self.dim:
-            raise UsageError(f"map has dimension {f.dim}, instance has {self.dim}")
+        if not isinstance(f, AffineLatticeMap):
+            raise UsageError(f"expected AffineLatticeMap, got {type(f).__name__}")
+        if len(f.offset) != self.dim:
+            raise UsageError(f"map has dimension {len(f.offset)}, instance has {self.dim}")
         return f
 
     def _check_point(self, x) -> Vector:
@@ -275,9 +323,9 @@ class AffineLattice(Instance):
         return unchecked(AffineLatticeMap, matrix=matrix, offset=offset)
 
     def action(self, f):
-        """``x -> M x + b``, over the rows of ``M`` each paired with its entry of ``b``."""
-        pairs = tuple(zip(self._check_element(f).matrix, f.offset))
-        return lambda x: tuple([sum(map(mul, row, x)) + c for row, c in pairs])
+        """``x -> M x + b``, by :func:`mat_vec_add`."""
+        matrix, offset = self._check_element(f).matrix, f.offset
+        return lambda x: mat_vec_add(matrix, x, 1, offset)
 
     def ore_complete(self, f, g):
         self._check_element(f)
@@ -303,7 +351,7 @@ class AffineLattice(Instance):
         ``P = I`` and ``d = c``; any other ``M`` costs one :func:`det_adjugate`.
         """
         m = self._check_element(f).matrix
-        shifted = tuple(a - b for a, b in zip(x, f.offset))
+        shifted = tuple([a - b for a, b in zip(x, f.offset)])
         c = scalar_of(m)
         if c:
             return c, shifted, matrix
@@ -312,9 +360,9 @@ class AffineLattice(Instance):
 
     def _scalar(self, d: int) -> AffineLatticeMap:
         # the denominator (d I, 0) of a normal form: d > 0, so det = d^n != 0
-        return unchecked(
-            AffineLatticeMap, matrix=mat_scale(self._identity, d), offset=(0,) * self.dim
-        )
+        n = self.dim
+        matrix = tuple([(0,) * i + (d,) + (0,) * (n - 1 - i) for i in range(n)])
+        return unchecked(AffineLatticeMap, matrix=matrix, offset=(0,) * n)
 
     def _normal_pq(self, d: int, y: Vector) -> Pseudoquotient:
         """``pq(y; (D I, 0))`` for the class ``y / d``, in lowest terms with ``D > 0``."""

@@ -175,7 +175,7 @@ class DyadicStepMap:
         require_int(self.halvings, "refine exponent", 0)
 
 
-_LETTER = re.compile(r"(?P<gen>[td])(?:\^(?P<exp>-?\d+))?")
+_LETTER = re.compile(r"(?P<gen>[td])(?:\^(?P<exp>-?[0-9]+))?")
 
 
 def _witness(f: DyadicStepMap, g: DyadicStepMap) -> tuple[int, int, int, int]:

@@ -135,7 +135,7 @@ class RootValue:
         return self
 
 
-_ELEMENT = re.compile(r"\s*(?:(\d+)\s*\*\s*)?x\s*(?:\^\s*(-?\d+))?\s*")
+_ELEMENT = re.compile(r"\s*(?:([0-9]+)\s*\*\s*)?x\s*(?:\^\s*(-?[0-9]+))?\s*")
 
 
 class PowerAffine(Instance):

@@ -183,7 +183,7 @@ def default_tower_config() -> TowerConfig:
     return _DEFAULT_CONFIG
 
 
-_LETTER = re.compile(r"(?:F|P(?P<level>\d+))(?:\^(?P<exp>-?\d+))?")
+_LETTER = re.compile(r"(?:F|P(?P<level>[0-9]+))(?:\^(?P<exp>-?[0-9]+))?")
 
 
 def _letter(match: re.Match, exponent: int) -> TowerMap:

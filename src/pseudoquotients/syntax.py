@@ -45,14 +45,14 @@ def split_top_level(text: str, separator: str, offset: int = 0) -> list[tuple[st
 
 def parse_int(text: str, offset: int) -> int:
     value = text.strip()
-    if not re.fullmatch(r"-?\d+", value):
+    if not re.fullmatch(r"-?[0-9]+", value):
         raise ParseError(f"expected an integer, got {text.strip()!r}", offset)
     return int(value)
 
 
 def parse_rational(text: str, offset: int) -> Fraction:
     value = text.strip()
-    match = re.fullmatch(r"(-?\d+)\s*(?:/\s*(\d+))?", value)
+    match = re.fullmatch(r"(-?[0-9]+)\s*(?:/\s*([0-9]+))?", value)
     if not match:
         raise ParseError(f"expected a rational p/q, got {text.strip()!r}", offset)
     numerator = int(match.group(1))

@@ -8,6 +8,9 @@ INSTANCES = {
     "power-affine": PowerAffine(),
     "affine-lattice-1d": AffineLattice(1),
     "affine-lattice-2d": AffineLattice(2),
+    # 3-D runs the explicit product kernels, 4-D the n-D helpers
+    "affine-lattice-3d": AffineLattice(3),
+    "affine-lattice-4d": AffineLattice(4),
     "dyadic-steps": DyadicSteps(),
     "tower": Tower(),
 }

@@ -146,6 +146,74 @@ def test_det_adjugate_matches_the_cofactor_oracle(rng):
         assert min(dets) < 0 < max(dets)
 
 
+def _kernel_operands(rng, dim):
+    """Square matrices and vectors up to +-2^200 in size, with zero rows and scalars of both signs."""
+    for bits in (3, 64, 200):
+        for _ in range(40):
+            a, b = ([[rng.randint(-(1 << bits), 1 << bits) for _ in range(dim)]
+                     for _ in range(dim)] for _ in range(2))
+            if rng.random() < 0.25:
+                a[rng.randrange(dim)] = [0] * dim
+            if rng.random() < 0.25:
+                b[rng.randrange(dim)] = [0] * dim
+            x, v = (tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(dim)) for _ in range(2))
+            d = rng.choice((0, 1, -1, rng.randint(-(1 << bits), -2), rng.randint(2, 1 << bits)))
+            yield tuple(map(tuple, a)), tuple(map(tuple, b)), x, d, v
+
+
+def test_product_kernels_match_the_nd_reference(rng):
+    # sizes up to 3 take explicit formulas, larger ones the n-D helpers, the reference here
+    for dim in (1, 2, 3):
+        for a, b, x, d, v in _kernel_operands(rng, dim):
+            product = affine_lattice.mat_mul(a, b)
+            assert product == affine_lattice._nd_mat_mul(a, b)
+            assert product == tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim))
+                for i in range(dim)
+            )
+            assert all(type(row) is tuple for row in product)
+            image = affine_lattice.mat_vec_add(a, x, d, v)
+            assert type(image) is tuple
+            assert image == affine_lattice._nd_mat_vec_add(a, x, d, v)
+            assert affine_lattice.mat_vec(a, x) == affine_lattice._nd_mat_vec_add(a, x, 0, v)
+            assert affine_lattice.mat_vec(a, x) == tuple(
+                sum(a[i][k] * x[k] for k in range(dim)) for i in range(dim)
+            )
+
+
+def _lowest_terms_reference(d, vector, matrix=()):
+    g = math.gcd(d, *vector, *(e for row in matrix for e in row))
+    g = -g if d < 0 else g
+    return d // g, tuple(c // g for c in vector), tuple(tuple(e // g for e in r) for r in matrix)
+
+
+def test_lowest_terms_returns_coprime_inputs_and_divides_the_rest(rng):
+    assert affine_lattice.lowest_terms(-3, (2, -4)) == (3, (-2, 4), ())
+    assert affine_lattice.lowest_terms(6, (4,), ((2, 0), (0, 8))) == (3, (2,), ((1, 0), (0, 4)))
+    signs = {1: 0, -1: 0}
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        bits = rng.choice((4, 200))
+        scale = rng.choice((1, 1, rng.randint(2, 1 << bits)))
+        d = scale * rng.choice((-1, 1)) * rng.randint(1, 1 << bits)
+        vector = tuple(scale * rng.randint(-(1 << bits), 1 << bits) for _ in range(dim))
+        matrix = rng.choice(((), tuple(
+            tuple(scale * rng.randint(-(1 << bits), 1 << bits) for _ in range(dim))
+            for _ in range(dim)
+        )))
+        result = affine_lattice.lowest_terms(d, vector, matrix)
+        assert result == _lowest_terms_reference(d, vector, matrix)
+        assert result[0] > 0
+        assert all(type(part) is tuple for part in result[1:])
+        assert all(type(row) is tuple for row in result[2])
+        if math.gcd(d, *vector, *(e for row in matrix for e in row)) == 1:
+            signs[1 if d > 0 else -1] += 1
+            if d > 0:
+                # coprime with d > 0: the inputs come back as they are
+                assert result[1] is vector and result[2] is matrix
+    assert min(signs.values()) > 50
+
+
 def test_det_adjugate_known_values():
     assert det_adjugate(((7,),)) == (7, ((1,),))
     assert det_adjugate(((0, 1), (1, 0))) == (-1, ((0, -1), (-1, 0)))

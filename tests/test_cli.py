@@ -130,6 +130,32 @@ def test_syntax_error_exits_2(capsys):
     assert "syntax error" in err
 
 
+NON_ASCII_DIGITS = {
+    # Arabic-Indic and fullwidth digits are decimal digits to Python's int()
+    "power-affine point": ("power-affine", "pq(\u0663; 2*x^1)"),
+    "power-affine multiplier": ("power-affine", "pq(3; \u0662*x^1)"),
+    "power-affine exponent": ("power-affine", "pq(3; 2*x^\u0661)"),
+    "tower point": ("tower", "pq((\uff11, 2); P1^2 F)"),
+    "tower level": ("tower", "pq((1, 2); P\uff11^2 F)"),
+    "tower exponent": ("tower", "pq((1, 2); P1^\uff12 F)"),
+    "affine point": ("affine-lattice", "pq([\u0663]; aff([[2]],[1]))"),
+    "affine matrix": ("affine-lattice", "pq([3]; aff([[\u0662]],[1]))"),
+    "dyadic numerator": ("dyadic-steps", "pq([\u0663/4]; t^1)"),
+    "dyadic denominator": ("dyadic-steps", "pq([3/\u0664]; t^1)"),
+    "dyadic exponent": ("dyadic-steps", "pq([3]; t^\u0662)"),
+}
+
+
+@pytest.mark.parametrize("name, text", NON_ASCII_DIGITS.values(), ids=NON_ASCII_DIGITS)
+def test_numbers_take_ascii_digits_only(capsys, name, text):
+    ascii_text = text.translate({0x0661: "1", 0x0662: "2", 0x0663: "3", 0x0664: "4",
+                                 0xFF11: "1", 0xFF12: "2"})
+    assert run(capsys, "normalize", "--instance", name, ascii_text)[0] == 0
+    code, out, err = run(capsys, "normalize", "--instance", name, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error: ") and err.count("\n") == 1
+
+
 def test_domain_error_exits_1(capsys):
     code, out, err = run(
         capsys, "normalize", "--instance", "affine-lattice", "pq([0,0]; aff([[1,0],[0,0]],[0,0]))"
