@@ -36,19 +36,25 @@ from .instances import (
     create_instance,
     default_tower_config,
 )
-from .verifier import (
-    PRESET_NAMES,
-    CancellationResult,
-    InjectivityResult,
-    OreSearchResult,
-    Presentation,
-    VerifyReport,
-    preset,
-    presentation_from_config,
-    search_ore_witness,
-    verify,
-    verify_injectivity,
-    verify_right_cancellation,
+
+# The bounded verifier is loaded on first use (PEP 562), so a request that
+# never verifies does not import it; a name it serves is cached in the
+# module globals the first time it is asked for.
+_VERIFIER_NAMES = frozenset(
+    (
+        "PRESET_NAMES",
+        "CancellationResult",
+        "InjectivityResult",
+        "OreSearchResult",
+        "Presentation",
+        "VerifyReport",
+        "preset",
+        "presentation_from_config",
+        "search_ore_witness",
+        "verify",
+        "verify_injectivity",
+        "verify_right_cancellation",
+    )
 )
 
 __version__ = "0.1.0"
@@ -90,3 +96,19 @@ __all__ = [
     "verify_injectivity",
     "verify_right_cancellation",
 ]
+
+
+def __getattr__(name: str):
+    if name != "verifier" and name not in _VERIFIER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # not ``from . import verifier``: its from-list check calls this hook again
+
+    verifier = importlib.import_module(".verifier", __name__)
+    if name == "verifier":
+        return verifier
+    value = globals()[name] = getattr(verifier, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_VERIFIER_NAMES, "verifier"})

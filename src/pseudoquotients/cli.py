@@ -11,7 +11,8 @@ Output is JSON by default (``--output text`` for a plain rendering); all
 rational numbers are exact ``"p/q"`` strings.  Exit codes: 0 success,
 1 domain error, 2 syntax error, 3 verifier counterexample found.
 ``main(argv)`` may be called many times in one process; it builds its
-argument parser on the first call and reuses it.
+argument parser on the first call and reuses it.  The bounded verifier is
+imported only for ``verify``, so the other subcommands never load it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .grammar import (
     parse_pq,
     pq_text,
 )
-from .instances import INSTANCE_NAMES, create_instance
-from .verifier import PRESET_NAMES, presentation_from_config, verify
+from .instances import INSTANCE_NAMES, PRESET_NAMES, create_instance
 
 __all__ = ["build_parser", "entry", "main"]
 
@@ -166,6 +166,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import presentation_from_config, verify
+
     if bool(args.preset) == bool(args.config):
         raise DomainError("verify needs exactly one of a preset name or --config")
     if args.config:

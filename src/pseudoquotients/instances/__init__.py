@@ -15,6 +15,7 @@ __all__ = [
     "DyadicSteps",
     "INSTANCE_NAMES",
     "PRESETS",
+    "PRESET_NAMES",
     "PowerAffine",
     "PowerAffineMap",
     "RootValue",
@@ -37,6 +38,7 @@ INSTANCE_NAMES = tuple(_REGISTRY)
 PRESETS: dict[str, Preset] = {
     label: preset for cls in _REGISTRY.values() for label, preset in cls.presets().items()
 }
+PRESET_NAMES = tuple(PRESETS)
 
 
 def create_instance(name: str, *, dim: int = 1) -> Instance:

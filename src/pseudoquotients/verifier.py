@@ -70,7 +70,7 @@ from operator import itemgetter
 from typing import Any, Callable
 
 from .core import DomainError, UsageError, require_int, require_object, value_text
-from .instances import PRESETS
+from .instances import PRESET_NAMES, PRESETS
 
 __all__ = [
     "CancellationResult",
@@ -534,7 +534,6 @@ def verify(presentation: Presentation) -> VerifyReport:
 # presets and the JSON config schema
 # ----------------------------------------------------------------------
 
-PRESET_NAMES = tuple(PRESETS)
 _INT_CONFIG_KEYS = ("domain", "generators", "samples", "max_depth", "label")
 _RULES_KEYS = tuple(name for name, spec in PRESETS.items() if spec.from_rules is not None)
 # the keys of either schema, checked before each branch checks its own

@@ -342,6 +342,36 @@ def test_build_parser_returns_a_parser_main_does_not_share(capsys):
     assert capsys.readouterr().err.startswith("usage: pseudoquotients normalize ")
 
 
+VERIFY_HELP = """\
+usage: pseudoquotients verify [-h] [--output {json,text}] [--config CONFIG]
+                              [--depth DEPTH]
+                              [{power-affine,affine-lattice,affine-lattice-2d,dyadic-steps,tower}]
+
+positional arguments:
+  {power-affine,affine-lattice,affine-lattice-2d,dyadic-steps,tower}
+                        a built-in presentation
+
+options:
+  -h, --help            show this help message and exit
+  --output {json,text}
+  --config CONFIG       JSON presentation config file
+  --depth DEPTH         word-length bound override
+"""
+
+
+def test_verify_choices_are_the_preset_names_defined_once(monkeypatch):
+    from pseudoquotients import instances, verifier
+
+    assert verifier.PRESET_NAMES is instances.PRESET_NAMES is PRESET_NAMES
+    assert PRESET_NAMES == tuple(instances.PRESETS)
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    verify_parser = commands.choices["verify"]
+    preset = next(a for a in verify_parser._actions if a.dest == "preset")
+    assert tuple(preset.choices) == PRESET_NAMES
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert verify_parser.format_help() == VERIFY_HELP
+
+
 def _int_config(**changes):
     config = {
         "domain": "int",
