@@ -24,8 +24,8 @@ element equality (a faithful normal form), a deterministic Ore witness
 and a canonical form for classes, and describes its own text syntax,
 JSON shape and verifier presets; applying an element to a point,
 equivalence testing, the embedding, extensions, and the fraction group
-are derived here and shared by every instance.  :func:`unchecked` is the
-one constructor for values an instance builds without validation.
+are derived here and shared by every instance.  :func:`unchecked` gives
+each value type its one builder for values made without validation.
 
 All values are immutable and every operation is a pure function of its
 inputs, so values can be shared freely across threads.
@@ -33,10 +33,12 @@ inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from types import CodeType, FunctionType, MemberDescriptorType
 from typing import Any, Callable, Collection, NamedTuple
 
 __all__ = [
@@ -127,22 +129,41 @@ def require_object(value: Any, what: str, keys: Collection[str]) -> dict:
     return value
 
 
-_new, _hold = object.__new__, object.__setattr__
+@functools.cache
+def _builder_code(arity: int) -> CodeType:
+    """The code of a builder of ``arity`` fields, its arguments named ``_0``, ``_1``, ..."""
+    writes = "".join(f"    _set{i}(_value, _{i})\n" for i in range(arity))
+    args = ", ".join(f"_{i}" for i in range(arity))
+    namespace: dict = {}
+    exec(f"def build({args}):\n    _value = _new(_cls)\n{writes}    return _value\n", namespace)
+    return namespace["build"].__code__
 
 
-def unchecked(cls: type, **fields: Any) -> Any:
-    """A ``cls`` holding ``fields`` as given: no validation, no normalization.
+@functools.cache
+def unchecked(cls: type) -> Callable[..., Any]:
+    """The builder of ``cls`` values from fields as given: no validation, no normalization.
 
-    Hook results go through here, each under an invariant of its algebra
-    that makes the fields valid, named at the call site; values from
-    outside go through the public constructor.  ``object.__setattr__``
-    skips a frozen dataclass's ``__setattr__`` and, unlike writing
-    ``value.__dict__``, leaves CPython 3.11+ its compact per-object storage.
+    ``unchecked(cls)`` is made on first use and cached, one per class; it
+    takes the dataclass fields of a slotted ``cls`` in declared order, by
+    position or by name, and writes each through its slot descriptor,
+    skipping the frozen ``__setattr__`` and any ``__post_init__``.  Hook
+    results go through it, each under an invariant of its algebra that
+    makes the fields valid, named at the call site; values from outside go
+    through the public constructor.  Builders of one arity share code
+    compiled once, with the arguments renamed to the fields: compiling
+    each builder would cost about 60 µs of import time.
     """
-    value = _new(cls)
-    for name, field in fields.items():
-        _hold(value, name, field)
-    return value
+    names = tuple(field.name for field in fields(cls))
+    namespace = {"_new": object.__new__, "_cls": cls}
+    for i, name in enumerate(names):
+        slot = cls.__dict__.get(name)
+        if type(slot) is not MemberDescriptorType:
+            raise TypeError(f"{cls.__name__}.{name} is not a slot: unchecked needs slots=True")
+        namespace[f"_set{i}"] = slot.__set__
+    code = _builder_code(len(names)).replace(co_varnames=(*names, "_value"))
+    build = FunctionType(code, namespace, "build")
+    build.__qualname__ = f"unchecked({cls.__qualname__})"
+    return build
 
 
 MAX_POWER_BITS = 1 << 20  # the largest power an instance computes from its inputs
@@ -161,7 +182,7 @@ def bounded_power(base: int, k: int, what: str) -> int:
     return base**k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pseudoquotient:
     """A representative pair ``numerator / denominator``.
 
@@ -174,7 +195,7 @@ class Pseudoquotient:
     denominator: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OreWitness:
     """A pair certifying ``f_prime o g == g_prime o f`` for declared inputs (f, g)."""
 
@@ -182,7 +203,7 @@ class OreWitness:
     g_prime: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupFraction:
     """A left fraction ``den^-1 o num``: one element of the extended bijection group."""
 
@@ -190,9 +211,14 @@ class GroupFraction:
     num: Any
 
 
+# these types check none of their fields, so a builder gives what the constructor
+# gives, at one slot write per field
+_pq, _fraction = unchecked(Pseudoquotient), unchecked(GroupFraction)
+
+
 def frac_inverse(frac: GroupFraction) -> GroupFraction:
     """Invert a fraction by swapping its two sides; an involution."""
-    return GroupFraction(frac.num, frac.den)
+    return _fraction(frac.num, frac.den)
 
 
 class Instance(ABC):
@@ -352,12 +378,12 @@ class Instance(ABC):
 
     def pq_left_multiply(self, p: Pseudoquotient, g: Any) -> Pseudoquotient:
         """Return the equivalent representative ``(g x) / (g f)`` of ``x / f``."""
-        return Pseudoquotient(self.apply(g, p.numerator), self.compose(g, p.denominator))
+        return _pq(self.apply(g, p.numerator), self.compose(g, p.denominator))
 
     def embed(self, x: Any) -> Pseudoquotient:
         """Embed a point of X as ``(e x) / e`` for the designated element ``e``."""
         e = self.designated_element
-        return Pseudoquotient(self.apply(e, x), e)
+        return _pq(self.apply(e, x), e)
 
     def extend_apply(self, g: Any, p: Pseudoquotient) -> Pseudoquotient:
         """Apply the extension of ``g`` to the class of ``p = x / f``.
@@ -367,27 +393,27 @@ class Instance(ABC):
         the representative chosen for ``p``.
         """
         w = self.ore_complete(p.denominator, g)
-        return Pseudoquotient(self.apply(w.g_prime, p.numerator), w.f_prime)
+        return _pq(self.apply(w.g_prime, p.numerator), w.f_prime)
 
     def extend_inverse_apply(self, g: Any, p: Pseudoquotient) -> Pseudoquotient:
         """Apply the inverse of the extension of ``g``: ``x / f -> x / (f g)``."""
-        return Pseudoquotient(p.numerator, self.compose(p.denominator, g))
+        return _pq(p.numerator, self.compose(p.denominator, g))
 
     def solve(self, f: Any, x: Any) -> Pseudoquotient:
         """Return the unique class ``xi`` with ``f(xi) = x``, namely ``x / f``."""
-        return Pseudoquotient(x, f)
+        return _pq(x, f)
 
     # --- the group of left fractions ----------------------------------
 
     def frac_from_element(self, g: Any) -> GroupFraction:
         """Include a semigroup element into the fraction group as ``e^-1 o (e g)``."""
         e = self.designated_element
-        return GroupFraction(e, self.compose(e, g))
+        return _fraction(e, self.compose(e, g))
 
     def frac_identity(self) -> GroupFraction:
         """The identity fraction ``e^-1 o e``."""
         e = self.designated_element
-        return GroupFraction(e, e)
+        return _fraction(e, e)
 
     def frac_apply(self, frac: GroupFraction, p: Pseudoquotient) -> Pseudoquotient:
         """Apply the bijection ``den^-1 o num`` to the class of ``p``."""
@@ -402,7 +428,7 @@ class Instance(ABC):
         the Ore condition buys.
         """
         w = self.ore_complete(second.den, first.num)
-        return GroupFraction(
+        return _fraction(
             self.compose(w.f_prime, first.den), self.compose(w.g_prime, second.num)
         )
 
@@ -422,10 +448,10 @@ class Instance(ABC):
     # --- sampling helpers ---------------------------------------------
 
     def random_pseudoquotient(self, rng: random.Random) -> Pseudoquotient:
-        return Pseudoquotient(self.random_point(rng), self.random_element(rng))
+        return _pq(self.random_point(rng), self.random_element(rng))
 
     def random_fraction(self, rng: random.Random) -> GroupFraction:
-        return GroupFraction(self.random_element(rng), self.random_element(rng))
+        return _fraction(self.random_element(rng), self.random_element(rng))
 
 
 class Preset(NamedTuple):

@@ -247,7 +247,7 @@ def lowest_terms(d: int, vector: Vector, matrix: Matrix = ()) -> tuple[int, Vect
 # the instance
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineLatticeMap:
     """The map ``x -> matrix @ x + offset`` with a nonsingular integer matrix.
 
@@ -282,6 +282,21 @@ class AffineLatticeMap:
         return len(self.offset)
 
 
+class _ZeroOffset(tuple):
+    """The zero offset, equal to the plain tuple, of the normal forms ``(D I, 0)`` built here.
+
+    Only maps with a nonzero scalar matrix get it (``_scalar``'s, the
+    designated element, and a numerator read off one of those as it is);
+    the public constructor stores ``tuple(offset)``, a plain tuple.
+    """
+
+    __slots__ = ()
+
+
+_map, _ore_witness = unchecked(AffineLatticeMap), unchecked(OreWitness)
+_pq, _fraction = unchecked(Pseudoquotient), unchecked(GroupFraction)
+
+
 class AffineLattice(Instance):
     """The integer affine instance on ``Z^dim``."""
 
@@ -295,6 +310,10 @@ class AffineLattice(Instance):
     @cached_property
     def _identity(self) -> Matrix:
         return identity_matrix(self.dim)
+
+    @cached_property
+    def _zero_offset(self) -> _ZeroOffset:
+        return _ZeroOffset((0,) * self.dim)
 
     @classmethod
     def create(cls, dim: int = 1) -> AffineLattice:
@@ -320,7 +339,7 @@ class AffineLattice(Instance):
         self._check_element(g)
         # det(AB) = det A * det B != 0
         matrix, offset = mat_mul(f.matrix, g.matrix), mat_vec_add(f.matrix, g.offset, 1, f.offset)
-        return unchecked(AffineLatticeMap, matrix=matrix, offset=offset)
+        return _map(matrix, offset)
 
     def action(self, f):
         """``x -> M x + b``, by :func:`mat_vec_add`."""
@@ -336,10 +355,8 @@ class AffineLattice(Instance):
         f_offset = tuple(m2 * c for c in mat_vec(adj1, f.offset))
         g_offset = tuple(m1 * c for c in mat_vec(adj2, g.offset))
         # c * adj(M) is nonsingular for c != 0: det adj(M) = det(M)^(n-1)
-        return OreWitness(
-            unchecked(AffineLatticeMap, matrix=mat_scale(adj2, m1), offset=f_offset),
-            unchecked(AffineLatticeMap, matrix=mat_scale(adj1, m2), offset=g_offset),
-        )
+        f_prime, g_prime = _map(mat_scale(adj2, m1), f_offset), _map(mat_scale(adj1, m2), g_offset)
+        return _ore_witness(f_prime, g_prime)
 
     # --- the normal forms and the closed forms on them -----------------
 
@@ -348,9 +365,13 @@ class AffineLattice(Instance):
 
         So ``f^-1(x) == P (x - b) / d``, and ``f^-1 o (matrix, x)`` is the map
         ``(P matrix, P (x - b)) / d``.  A scalar ``M == c I`` is read as
-        ``P = I`` and ``d = c``; any other ``M`` costs one :func:`det_adjugate`.
+        ``P = I`` and ``d = c``, and a map with a :class:`_ZeroOffset` with
+        no test and no subtraction; any other ``M`` costs one
+        :func:`det_adjugate`.
         """
         m = self._check_element(f).matrix
+        if type(f.offset) is _ZeroOffset:
+            return m[0][0], x, matrix
         shifted = tuple([a - b for a, b in zip(x, f.offset)])
         c = scalar_of(m)
         if c:
@@ -362,18 +383,18 @@ class AffineLattice(Instance):
         # the denominator (d I, 0) of a normal form: d > 0, so det = d^n != 0
         n = self.dim
         matrix = tuple([(0,) * i + (d,) + (0,) * (n - 1 - i) for i in range(n)])
-        return unchecked(AffineLatticeMap, matrix=matrix, offset=(0,) * n)
+        return _map(matrix, self._zero_offset)
 
     def _normal_pq(self, d: int, y: Vector) -> Pseudoquotient:
         """``pq(y; (D I, 0))`` for the class ``y / d``, in lowest terms with ``D > 0``."""
         d, y, _ = lowest_terms(d, y)
-        return Pseudoquotient(y, self._scalar(d))
+        return _pq(y, self._scalar(d))
 
     def _normal_fraction(self, d: int, v: Vector, n: Matrix) -> GroupFraction:
         """``(D I, 0)^-1 o (N, v)`` for the map ``x -> (n x + v) / d``, in lowest terms."""
         d, v, n = lowest_terms(d, v, n)
         # det(n / g) != 0, since n is nonsingular
-        return GroupFraction(self._scalar(d), unchecked(AffineLatticeMap, matrix=n, offset=v))
+        return _fraction(self._scalar(d), _map(n, v))
 
     def _map_of(self, frac: GroupFraction) -> tuple[int, Vector, Matrix]:
         """``(d, v, N)`` with ``den^-1 o num`` the map ``x -> (N x + v) / d``."""
@@ -429,8 +450,8 @@ class AffineLattice(Instance):
 
     @property
     def designated_element(self) -> AffineLatticeMap:
-        # det I = 1
-        return unchecked(AffineLatticeMap, matrix=self._identity, offset=(0,) * self.dim)
+        # det I = 1; the normal form (1 I, 0)
+        return _map(self._identity, self._zero_offset)
 
     def random_element(self, rng: random.Random) -> AffineLatticeMap:
         while True:
@@ -441,7 +462,7 @@ class AffineLattice(Instance):
                 break
         offset = tuple(rng.randint(-5, 5) for _ in range(self.dim))
         # nonzero determinant checked above; integer entries drawn here
-        return unchecked(AffineLatticeMap, matrix=matrix, offset=offset)
+        return _map(matrix, offset)
 
     def random_point(self, rng: random.Random) -> Vector:
         return tuple(rng.randint(-9, 9) for _ in range(self.dim))

@@ -68,7 +68,7 @@ __all__ = ["MAX_CELLS", "DyadicStepMap", "DyadicSteps", "StepFunction"]
 MAX_CELLS = 1 << 22  # the most cells written out for one step function
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class StepFunction:
     """``numerators[j] / denominator`` on ``[offset + j * 2**width, offset + (j+1) * 2**width)``.
 
@@ -143,9 +143,7 @@ def _moved(x: StepFunction, shift, n: int) -> StepFunction:
         numerators = tuple(k // common for k in numerators)
         den //= common
     # moving the grid and scaling the values kept the normal form, and den is cancelled
-    return unchecked(
-        StepFunction, width=x.width + n, offset=offset, numerators=numerators, denominator=den
-    )
+    return _step(x.width + n, offset, numerators, den)
 
 
 def _require_point(x: StepFunction) -> StepFunction:
@@ -163,7 +161,7 @@ def _cells(x: StepFunction, lead: int, exponent: int, form):
     return chain(repeat(form(Fraction(0)), lead), *cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicStepMap:
     """The normal form ``t^shift o d^halvings``; both exponents >= 0."""
 
@@ -174,6 +172,9 @@ class DyadicStepMap:
         require_int(self.shift, "shift exponent", 0)
         require_int(self.halvings, "refine exponent", 0)
 
+
+_step, _map, _ore_witness = unchecked(StepFunction), unchecked(DyadicStepMap), unchecked(OreWitness)
+_pq, _fraction = unchecked(Pseudoquotient), unchecked(GroupFraction)
 
 _LETTER = re.compile(r"(?P<gen>[td])(?:\^(?P<exp>-?[0-9]+))?")
 
@@ -204,7 +205,7 @@ class DyadicSteps(Instance):
         # moving d^n1 past t^m2 doubles the shift n1 times
         lifted = bounded_power(2, f.halvings, "shift factor") * g.shift
         # sums and products of integers >= 0 stay >= 0
-        return unchecked(DyadicStepMap, shift=f.shift + lifted, halvings=f.halvings + g.halvings)
+        return _map(f.shift + lifted, f.halvings + g.halvings)
 
     def action(self, f):
         shift, n = self._check_element(f).shift, f.halvings
@@ -212,10 +213,7 @@ class DyadicSteps(Instance):
 
     def ore_complete(self, f, g):
         fs, fn, gs, gn = _witness(self._check_element(f), self._check_element(g))
-        return OreWitness(
-            unchecked(DyadicStepMap, shift=fs, halvings=fn),
-            unchecked(DyadicStepMap, shift=gs, halvings=gn),
-        )
+        return _ore_witness(_map(fs, fn), _map(gs, gn))
 
     # --- the fraction calculus in closed form ---------------------------
     # Each is the generic Ore route with its witness kept as four integers: the
@@ -229,10 +227,8 @@ class DyadicSteps(Instance):
         d2, n1 = self._check_element(second.den), self._check_element(first.num)
         fs, fn, gs, gn = _witness(d2, n1)
         d1, n2 = self._check_element(first.den), self._check_element(second.num)
-        return GroupFraction(
-            unchecked(DyadicStepMap, shift=fs + (d1.shift << fn), halvings=fn + d1.halvings),
-            unchecked(DyadicStepMap, shift=gs + (n2.shift << gn), halvings=gn + n2.halvings),
-        )
+        den = _map(fs + (d1.shift << fn), fn + d1.halvings)
+        return _fraction(den, _map(gs + (n2.shift << gn), gn + n2.halvings))
 
     def frac_apply(self, frac: GroupFraction, p: Pseudoquotient) -> Pseudoquotient:
         """``D^-1 o N`` moves ``x / E`` to ``g'(x) / (f' D)``, for the witness ``f' E == g' N``."""
@@ -240,8 +236,7 @@ class DyadicSteps(Instance):
         fs, fn, gs, gn = _witness(e, n)
         x = _moved(self._check_point(p.numerator), gs, gn)
         d = self._check_element(frac.den)
-        den = unchecked(DyadicStepMap, shift=fs + (d.shift << fn), halvings=fn + d.halvings)
-        return Pseudoquotient(x, den)
+        return _pq(x, _map(fs + (d.shift << fn), fn + d.halvings))
 
     def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
         """Whether ``f' N1 == g' N2`` for the witness ``f' D2 == g' D1``."""
@@ -282,7 +277,7 @@ class DyadicSteps(Instance):
 
     @property
     def designated_element(self) -> DyadicStepMap:
-        return unchecked(DyadicStepMap, shift=0, halvings=0)  # the empty word
+        return _map(0, 0)  # the empty word
 
     def random_element(self, rng: random.Random) -> DyadicStepMap:
         return DyadicStepMap(rng.randint(0, 3), rng.randint(0, 2))

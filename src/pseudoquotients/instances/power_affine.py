@@ -71,7 +71,7 @@ def _nth_root_exact(value: int, degree: int) -> int | None:
     return lo if lo**degree == value else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerAffineMap:
     """The map ``x -> multiplier * x**exponent`` with both parameters >= 1.
 
@@ -88,7 +88,7 @@ class PowerAffineMap:
         require_int(self.exponent, "exponent", 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RootValue:
     """The positive ``index``-th root of a nonnegative rational ``radicand``.
 
@@ -135,6 +135,9 @@ class RootValue:
         return self
 
 
+_map, _ore_witness = unchecked(PowerAffineMap), unchecked(OreWitness)
+_pq, _fraction = unchecked(Pseudoquotient), unchecked(GroupFraction)
+
 _ELEMENT = re.compile(r"\s*(?:([0-9]+)\s*\*\s*)?x\s*(?:\^\s*(-?[0-9]+))?\s*")
 
 
@@ -158,7 +161,7 @@ class PowerAffine(Instance):
         # f(g(x)) = mf * (mg * x**ng)**nf = mf * mg**nf * x**(nf*ng)
         # products and powers of integers >= 1 stay >= 1
         multiplier = f.multiplier * bounded_power(g.multiplier, f.exponent, "multiplier")
-        return unchecked(PowerAffineMap, multiplier=multiplier, exponent=f.exponent * g.exponent)
+        return _map(multiplier, f.exponent * g.exponent)
 
     def action(self, f):
         m, n = self._check_element(f).multiplier, f.exponent
@@ -171,10 +174,7 @@ class PowerAffine(Instance):
         # powers of integers >= 1 stay >= 1
         a = bounded_power(f.multiplier, g.exponent, "multiplier")
         b = bounded_power(g.multiplier, f.exponent, "multiplier")
-        return OreWitness(
-            unchecked(PowerAffineMap, multiplier=a, exponent=f.exponent),
-            unchecked(PowerAffineMap, multiplier=b, exponent=g.exponent),
-        )
+        return _ore_witness(_map(a, f.exponent), _map(b, g.exponent))
 
     # --- the fraction calculus in closed form ---------------------------
     # Each is the generic Ore route with its witness multiplied out: the same
@@ -194,10 +194,7 @@ class PowerAffine(Instance):
         b2, q2 = self._check_element(second.num).multiplier, second.num.exponent
         num_m = num_lift * bounded_power(b2, q1, "multiplier")
         # products and powers of integers >= 1 stay >= 1
-        return GroupFraction(
-            unchecked(PowerAffineMap, multiplier=den_m, exponent=p2 * p1),
-            unchecked(PowerAffineMap, multiplier=num_m, exponent=q1 * q2),
-        )
+        return _fraction(_map(den_m, p2 * p1), _map(num_m, q1 * q2))
 
     def frac_apply(self, frac: GroupFraction, p: Pseudoquotient) -> Pseudoquotient:
         """``(a, d)^-1 (b, q)`` moves the class ``x / (m, n)`` to ``(b^n x^q) / (m^q a^n, n d)``."""
@@ -209,7 +206,7 @@ class PowerAffine(Instance):
         a, d = self._check_element(frac.den).multiplier, frac.den.exponent
         den_m = den_lift * bounded_power(a, n, "multiplier")
         # products and powers of integers >= 1 stay >= 1
-        return Pseudoquotient(x, unchecked(PowerAffineMap, multiplier=den_m, exponent=n * d))
+        return _pq(x, _map(den_m, n * d))
 
     def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
         """Whether ``(a2^p1 b1^p2, p2 q1) == (a1^p2 b2^p1, p1 q2)``."""
@@ -232,7 +229,7 @@ class PowerAffine(Instance):
 
     @property
     def designated_element(self) -> PowerAffineMap:
-        return unchecked(PowerAffineMap, multiplier=1, exponent=1)  # x -> x
+        return _map(1, 1)  # x -> x
 
     def random_element(self, rng: random.Random) -> PowerAffineMap:
         return PowerAffineMap(rng.randint(1, 4), rng.randint(1, 3))

@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerPoint:
     """A point: integer payload on level >= 1."""
 
@@ -101,7 +101,7 @@ class TowerPoint:
         require_int(self.payload, "payload")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerValue:
     """A formal solution: rational payload on an integer level (possibly <= 0)."""
 
@@ -113,7 +113,7 @@ class TowerValue:
         object.__setattr__(self, "payload", require_rational(self.payload, "value payload"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerMap:
     """Normal form: squeeze exponents per level, then an ascent power.
 
@@ -176,6 +176,8 @@ class TowerConfig:
 
 
 _DEFAULT_CONFIG = TowerConfig()
+_point, _map, _ore_witness = unchecked(TowerPoint), unchecked(TowerMap), unchecked(OreWitness)
+_pq, _fraction = unchecked(Pseudoquotient), unchecked(GroupFraction)
 
 
 def default_tower_config() -> TowerConfig:
@@ -204,7 +206,7 @@ def _merged(low, low_lift: int, high, high_lift: int) -> dict[int, int]:
 def _normal(merged: dict[int, int], shift: int) -> TowerMap:
     # levels shifted by a shift >= 0 stay >= 1, and sums of positive exponents
     # stay positive; sorting the pairs gives the normal form
-    return unchecked(TowerMap, level_powers=tuple(sorted(merged.items())), shift=shift)
+    return _map(tuple(sorted(merged.items())), shift)
 
 
 class Tower(Instance):
@@ -234,7 +236,7 @@ class Tower(Instance):
                 return pt  # the same object, so the verifier's intern table finds it by identity
             m, t = squeeze_power(level, k)
             # a level >= 1 moved up by shift >= 0, and an integer payload
-            return unchecked(TowerPoint, level=level, payload=m * (pt.payload + lift) + t)
+            return _point(level, m * (pt.payload + lift) + t)
 
         return act
 
@@ -245,10 +247,7 @@ class Tower(Instance):
         # a list is sized once, of a generator it over-allocates and shrinks
         f_levels = tuple([(j + g.shift, k) for j, k in f.level_powers])
         g_levels = tuple([(j + f.shift, k) for j, k in g.level_powers])
-        return OreWitness(
-            unchecked(TowerMap, level_powers=f_levels, shift=f.shift),
-            unchecked(TowerMap, level_powers=g_levels, shift=g.shift),
-        )
+        return _ore_witness(_map(f_levels, f.shift), _map(g_levels, g.shift))
 
     # --- the fraction calculus in closed form ---------------------------
     # Each is the generic Ore route with its witness multiplied out: the same
@@ -263,7 +262,7 @@ class Tower(Instance):
         d1, n2 = self._check_element(first.den), self._check_element(second.num)
         den = _merged(d2.level_powers, n1.shift, d1.level_powers, d2.shift)
         num = _merged(n1.level_powers, d2.shift, n2.level_powers, n1.shift)
-        return GroupFraction(_normal(den, d2.shift + d1.shift), _normal(num, n1.shift + n2.shift))
+        return _fraction(_normal(den, d2.shift + d1.shift), _normal(num, n1.shift + n2.shift))
 
     def frac_apply(self, frac: GroupFraction, p: Pseudoquotient) -> Pseudoquotient:
         """``(D, a)^-1 o (N, b)`` moves ``x / (E, s)`` to ``(N↑s, b)(x) / (E↑b ⊕ D↑s, s + a)``."""
@@ -275,10 +274,10 @@ class Tower(Instance):
             m, t = self.config.squeeze_power(level, k)
             payload = m * (x.payload + n.shift * self.config.ascend_add) + t
             # a level >= 1 moved up by a shift >= 0, and an integer payload
-            x = unchecked(TowerPoint, level=level, payload=payload)
+            x = _point(level, payload)
         d = self._check_element(frac.den)
         den = _normal(_merged(e.level_powers, n.shift, d.level_powers, e.shift), e.shift + d.shift)
-        return Pseudoquotient(x, den)
+        return _pq(x, den)
 
     def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
         """Whether ``a2 + b1 == a1 + b2`` and ``D2↑a1 ⊕ N1↑a2 == D1↑a2 ⊕ N2↑a1``."""
@@ -302,7 +301,7 @@ class Tower(Instance):
 
     @property
     def designated_element(self) -> TowerMap:
-        return unchecked(TowerMap, level_powers=(), shift=0)  # the empty word
+        return _map((), 0)  # the empty word
 
     def random_element(self, rng: random.Random) -> TowerMap:
         powers = {level: rng.randint(0, 2) for level in rng.sample(range(1, 4), rng.randint(0, 2))}

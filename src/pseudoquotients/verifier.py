@@ -58,7 +58,7 @@ hold their ids.  It is charged once per new point and once per finished
 layer and letter, and past it :func:`verify` stops with a DomainError
 that names the word length it had reached.  It bounds the counted
 bytes only: ``__sizeof__`` leaves out the ints inside an affine tuple or
-a step function, so ``dyadic-steps`` at depth 9 counts 31 MB at a 66 MB
+a step function, so ``dyadic-steps`` at depth 9 counts 34 MB at a 62 MB
 peak RSS, and ``affine-lattice-2d`` at depth 10 33 MB at 61 MB.
 """
 

@@ -626,6 +626,22 @@ def test_hand_case_values():
     assert q == Pseudoquotient((1,), scalar_map(1, 2))
 
 
+def test_only_normal_forms_built_here_are_read_off_without_a_test(rng):
+    # a normal form's denominator carries a marked zero offset and is read as its
+    # scalar with no test; the public constructor stores a plain tuple, so every
+    # map from outside, a (c I, 0) among them, takes the full read-off
+    af = AffineLattice(2)
+    den = af.reduce_fraction(af.random_fraction(rng)).den
+    assert type(den.offset) is not tuple and den.offset == (0, 0)
+    assert type(af.designated_element.offset) is type(den.offset)
+    for matrix in (den.matrix, ((1, 2), (0, 1)), ((-3, 0), (0, -3))):
+        outside = AffineLatticeMap(matrix, den.offset)
+        assert type(outside.offset) is tuple
+        for x in ((3, 5), (-4, 0)):
+            p, frac = Pseudoquotient(x, outside), GroupFraction(outside, af.random_element(rng))
+            check_against_oracles(af, af.random_element(rng), p, frac, af.random_fraction(rng))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_closed_forms_match_the_ore_route_on_random_chains(dim, rng):
     af = AffineLattice(dim)

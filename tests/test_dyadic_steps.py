@@ -357,6 +357,8 @@ def test_points_are_integers_over_one_denominator_in_lowest_terms(rng):
             assert not point.numerators or 0 not in (point.numerators[0], point.numerators[-1])
             # equal functions have equal fields, whichever way they were built
             rebuilt = StepFunction(point.coefficients)
-            assert set(vars(point)) == {"width", "offset", "numerators", "denominator"}
+            # slotted, with no __dict__; reading fields() below reads every slot
+            assert not hasattr(point, "__dict__")
+            assert StepFunction.__slots__ == ("width", "offset", "numerators", "denominator")
             assert fields(rebuilt) == fields(point)
             assert hash(rebuilt) == hash(point)

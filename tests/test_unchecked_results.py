@@ -8,9 +8,10 @@ instance's algebra; so do the affine lattice's ``reduce_fraction``,
 points.  Rebuilt from its fields through the public constructor, which
 validates and normalizes, every such value must come back equal and with
 the same hash: a result that broke an invariant would be refused, or
-normalized into a different value.  ``core.unchecked`` takes any field
-names, so each such value must also hold exactly its dataclass fields,
-and no more memory than a value built by a generated ``__init__``.
+normalized into a different value.  A builder from ``core.unchecked``
+writes slots and skips ``__init__``, so each such value must also have
+every dataclass field set, no ``__dict__``, and no more memory than a
+slotted value built by a generated ``__init__``.
 """
 
 import tracemalloc
@@ -40,7 +41,10 @@ CHAIN = 3
 
 
 def assert_holds_its_fields(value):
-    assert set(vars(value)) == {field.name for field in fields(value)}
+    assert not hasattr(value, "__dict__")
+    assert type(value).__slots__ == tuple(field.name for field in fields(value))
+    for field in fields(value):
+        getattr(value, field.name)  # an unset slot raises AttributeError
 
 
 def rebuilt(f):
@@ -136,13 +140,13 @@ def test_tower_moved_points_rebuild_equal(config, rng):
     assert moved > TRIALS  # most draws move their point; the others return it as it is
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Two:
     level: int
     payload: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Four:
     width: int
     offset: int
@@ -165,9 +169,9 @@ def bytes_per_value(build, count=2000):
 @pytest.mark.parametrize(
     "build, reference",
     [
-        (lambda: unchecked(TowerPoint, level=1, payload=5), lambda: _Two(1, 5)),
+        (lambda: unchecked(TowerPoint)(1, 5), lambda: _Two(1, 5)),
         (
-            lambda: unchecked(StepFunction, width=0, offset=0, numerators=(), denominator=1),
+            lambda: unchecked(StepFunction)(width=0, offset=0, numerators=(), denominator=1),
             lambda: _Four(0, 0, (), 1),
         ),
         # the zero function: every field is a shared constant, only the value is new
@@ -176,10 +180,24 @@ def bytes_per_value(build, count=2000):
     ids=["unchecked-tower-point", "unchecked-step-function", "public-step-function"],
 )
 def test_values_built_without_init_are_as_compact_as_generated_init_ones(build, reference):
-    # writing the instance __dict__ directly gives each value a full dict on
-    # CPython 3.11+, over twice the bytes; the verifier's search holds many points
+    # a value with a __dict__ would hold over twice the bytes of a slotted one;
+    # the verifier's search holds many points
     assert_holds_its_fields(build())
     assert bytes_per_value(build) <= 1.25 * bytes_per_value(reference)
+
+
+def test_one_builder_per_class_takes_fields_by_position_or_by_name():
+    build = unchecked(TowerMap)
+    assert unchecked(TowerMap) is build
+    by_position, by_name = build(((1, 2),), 3), build(shift=3, level_powers=((1, 2),))
+    assert by_position == by_name == TowerMap(((1, 2),), 3)
+    with pytest.raises(TypeError):
+        build(((1, 2),))  # every field, no defaults
+
+
+def test_unchecked_needs_a_slotted_dataclass():
+    with pytest.raises(TypeError, match="slots=True"):
+        unchecked(TowerConfig)
 
 
 @pytest.mark.parametrize(
