@@ -103,9 +103,44 @@ def _instance_for(name: str, *values):
     return create_instance(name, dim=dims.pop() if dims else 1)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, in one recursive pass.
+
+    The pure-Python encoder that ``json.dumps`` falls back to for an indent
+    costs more than the rest of a small request's output.  Dict keys must
+    be strings, as in every payload here; a value other than a dict, list,
+    tuple, string, int, bool or ``None`` goes to ``json.dumps``.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = (f"{_quote(key)}: {_json_text(item, inner)}" for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(_json_text(item, inner) for item in value) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit(payload: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return
     for key, value in payload.items():
         print(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")

@@ -63,7 +63,7 @@ from ..core import (
     unchecked,
     value_text,
 )
-from ..syntax import parse_bracketed, parse_int, split_pair
+from ..syntax import read_int_list, read_int_lists, split_pair
 
 __all__ = ["AffineLattice", "AffineLatticeMap", "adjugate", "determinant"]
 
@@ -471,17 +471,16 @@ class AffineLattice(Instance):
         (matrix_text, matrix_start), (vector_text, vector_start) = split_pair(
             text, offset, "aff", ",", "aff takes a matrix and an offset vector"
         )
-        rows = parse_bracketed(matrix_text, matrix_start)
         # matrix rows and the offset vector are written like points
-        matrix = tuple(self.parse_point(row, row_start) for row, row_start in rows)
-        return AffineLatticeMap(matrix, self.parse_point(vector_text, vector_start))
+        matrix = read_int_lists(matrix_text, matrix_start)
+        return AffineLatticeMap(matrix, read_int_list(vector_text, vector_start))
 
     def element_text(self, f: AffineLatticeMap) -> str:
         rows = ",".join(self.point_text(row) for row in f.matrix)
         return f"aff([{rows}],{self.point_text(f.offset)})"
 
     def parse_point(self, text: str, offset: int = 0) -> Vector:
-        return tuple(parse_int(e, e_start) for e, e_start in parse_bracketed(text, offset))
+        return read_int_list(text, offset)
 
     def point_text(self, x: Vector) -> str:
         return "[" + ",".join(str(c) for c in x) + "]"

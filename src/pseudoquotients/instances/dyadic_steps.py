@@ -61,7 +61,7 @@ from ..core import (
     require_sequence,
     unchecked,
 )
-from ..syntax import parse_bracketed, parse_rational, word_letters
+from ..syntax import read_rational_list, word_letters
 
 __all__ = ["MAX_CELLS", "DyadicStepMap", "DyadicSteps", "StepFunction"]
 
@@ -300,8 +300,7 @@ class DyadicSteps(Instance):
         return f"t^{f.shift} d^{f.halvings}"
 
     def parse_point(self, text: str, offset: int = 0) -> StepFunction:
-        entries = parse_bracketed(text, offset)
-        return StepFunction(tuple(parse_rational(e, e_start) for e, e_start in entries))
+        return StepFunction(read_rational_list(text, offset))
 
     def point_text(self, x: StepFunction) -> str:
         return "[" + ",".join(_cells(_require_point(x), x.offset, x.width, str)) + "]"

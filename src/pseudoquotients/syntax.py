@@ -4,6 +4,14 @@ Each helper takes the absolute offset of its text within the whole
 input, so a :class:`ParseError` raised anywhere inside ``pq(...)`` or
 ``frac(...)`` reports its position in the complete argument.  Rational
 numbers are written ``p/q`` (or a bare integer); no floats anywhere.
+
+The list readers (:func:`read_int_list`, :func:`read_int_lists`,
+:func:`read_rational_list`) accept a well-formed list with one compiled
+pattern and read its numbers with one ``findall``.  Text the pattern
+refuses goes to the scanner (:func:`parse_bracketed` with
+:func:`parse_int` or :func:`parse_rational`), which explains the error:
+it is the only path that raises, and it gives the value whenever the
+pattern does.
 """
 
 from __future__ import annotations
@@ -12,6 +20,25 @@ import re
 from fractions import Fraction
 
 from .core import DomainError
+
+
+_INT = r"-?[0-9]+"
+# the optional "/q" is one group so that no two \s* meet: a refused text backtracks in linear time
+_RATIONAL_ENTRY = r"-?[0-9]+(?:\s*/\s*[0-9]+)?"
+
+
+def _list(entry: str) -> str:
+    """``[entry, entry, ...]`` with free whitespace around each token."""
+    return rf"\[\s*(?:{entry}\s*(?:,\s*{entry}\s*)*)?\]"
+
+
+_INTEGER = re.compile(_INT)
+_RATIONAL = re.compile(r"(-?[0-9]+)\s*(?:/\s*([0-9]+))?")
+_TOKEN = re.compile(r"\S+")
+_ROW = re.compile(r"\[([^\[\]]*)\]")
+_INT_LIST = re.compile(rf"\s*{_list(_INT)}\s*")
+_INT_LISTS = re.compile(rf"\s*{_list(_list(_INT))}\s*")
+_RATIONAL_LIST = re.compile(rf"\s*{_list(_RATIONAL_ENTRY)}\s*")
 
 
 class ParseError(ValueError):
@@ -45,21 +72,47 @@ def split_top_level(text: str, separator: str, offset: int = 0) -> list[tuple[st
 
 def parse_int(text: str, offset: int) -> int:
     value = text.strip()
-    if not re.fullmatch(r"-?[0-9]+", value):
+    if not _INTEGER.fullmatch(value):
         raise ParseError(f"expected an integer, got {text.strip()!r}", offset)
     return int(value)
 
 
 def parse_rational(text: str, offset: int) -> Fraction:
-    value = text.strip()
-    match = re.fullmatch(r"(-?[0-9]+)\s*(?:/\s*([0-9]+))?", value)
+    match = _RATIONAL.fullmatch(text.strip())
     if not match:
         raise ParseError(f"expected a rational p/q, got {text.strip()!r}", offset)
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) else 1
-    if denominator == 0:
+    return _fraction(*match.groups())
+
+
+def _fraction(numerator: str, denominator: str | None) -> Fraction:
+    """``p/q`` from its digits; an absent (``None`` or empty) ``q`` is 1."""
+    p = int(numerator)
+    q = int(denominator) if denominator else 1
+    if q == 0:
         raise DomainError("zero denominator in rational literal")
-    return Fraction(numerator, denominator)
+    return Fraction(p, q)
+
+
+def read_int_list(text: str, offset: int) -> tuple[int, ...]:
+    """Read ``[a, b, ...]`` of integers; errors as :func:`parse_bracketed` and :func:`parse_int`."""
+    if _INT_LIST.fullmatch(text):
+        return tuple(map(int, _INTEGER.findall(text)))
+    return tuple(parse_int(e, e_start) for e, e_start in parse_bracketed(text, offset))
+
+
+def read_int_lists(text: str, offset: int) -> tuple[tuple[int, ...], ...]:
+    """Read ``[[a, ...], ...]``, a list of :func:`read_int_list` rows."""
+    if _INT_LISTS.fullmatch(text):
+        rows = _ROW.findall(text, text.index("[") + 1)  # from inside the outer brackets
+        return tuple(tuple(map(int, _INTEGER.findall(row))) for row in rows)
+    return tuple(read_int_list(row, row_start) for row, row_start in parse_bracketed(text, offset))
+
+
+def read_rational_list(text: str, offset: int) -> tuple[Fraction, ...]:
+    """Read ``[p/q, ...]`` of rationals; errors as :func:`parse_bracketed` and :func:`parse_rational`."""
+    if _RATIONAL_LIST.fullmatch(text):
+        return tuple(_fraction(p, q) for p, q in _RATIONAL.findall(text))
+    return tuple(parse_rational(e, e_start) for e, e_start in parse_bracketed(text, offset))
 
 
 def unwrap(text: str, offset: int, opening: str, closing: str, expected: str) -> tuple[str, int]:
@@ -97,7 +150,7 @@ def word_letters(text: str, offset: int, letter: re.Pattern, word: str, letters:
     exponent in the group ``exp``; a bare letter has exponent 1.
     ``word`` and ``letters`` describe the expected syntax in errors.
     """
-    tokens = list(re.finditer(r"\S+", text))
+    tokens = list(_TOKEN.finditer(text))
     if not tokens:
         raise ParseError(f"expected {word}", offset)
     for token in tokens:
