@@ -10,17 +10,22 @@ Four subcommands::
 Output is JSON by default (``--output text`` for a plain rendering); all
 rational numbers are exact ``"p/q"`` strings.  Exit codes: 0 success,
 1 domain error, 2 syntax error, 3 verifier counterexample found.
-``main(argv)`` may be called many times in one process; it builds its
-argument parser on the first call and reuses it.  The bounded verifier is
-imported only for ``verify``, so the other subcommands never load it.
+``main(argv)`` may be called many times in one process.  A plain
+``normalize``, ``equiv`` or ``apply`` command line is read by
+:func:`_plain_args`, which neither imports argparse nor builds a parser;
+every other command line (``verify``, ``--help``, ``--instance=...``, an
+error) goes to the argparse parser, which is built on the first such call
+and reused.  The bounded verifier is imported only for ``verify``, so the
+other subcommands never load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .core import DomainError, UsageError
 from .grammar import (
@@ -34,10 +39,15 @@ from .grammar import (
 )
 from .instances import INSTANCE_NAMES, PRESET_NAMES, create_instance
 
+if TYPE_CHECKING:
+    import argparse
+
 __all__ = ["build_parser", "entry", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only help, verify and refused command lines need it
+
     parser = argparse.ArgumentParser(
         prog="pseudoquotients",
         description="Exact calculus on pseudoquotient spaces of injective semigroup actions.",
@@ -92,8 +102,64 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # built on the first request, not at import; parse_args leaves it unchanged
+    # built on the first request _plain_args refuses, not at import; parse_args
+    # leaves it unchanged
     return build_parser()
+
+
+# the positionals of each command _plain_args reads, in order, and the choices
+# of the two options it reads
+_POSITIONALS = {"normalize": ("pq",), "equiv": ("left", "right"), "apply": ("map", "pq")}
+_CHOICES = {"--instance": frozenset(INSTANCE_NAMES), "--output": frozenset(("json", "text"))}
+
+
+def _plain_args(argv):
+    """The parsed ``argv`` of a plain request, or ``None`` for argparse to read it.
+
+    A plain request is ``[--output F]... <normalize|equiv|apply> ...``
+    where, after the command, the only options are ``--instance <name>``
+    and ``--output <json|text>``, each value a separate token, in any place
+    and order (the last of each wins), and the command's exact number of
+    positionals, none starting with ``-``.  For such a list or tuple of
+    strings the result's ``vars()`` equal those of
+    ``_parser().parse_args(argv)``.  Anything else -- ``-h``, ``--``,
+    ``--instance=...``, an abbreviated option, ``verify``, a value outside
+    the choices, a missing or extra positional, an item that is not a
+    string -- gives ``None``, so argparse stays the one path that prints
+    help and usage errors.
+    """
+    if type(argv) not in (list, tuple) or not all(type(token) is str for token in argv):
+        return None
+    tokens = iter(argv)
+    options = {"--output": "json"}
+    command = next(tokens, None)
+    while command == "--output":
+        options[command] = value = next(tokens, None)
+        if value not in _CHOICES[command]:
+            return None
+        command = next(tokens, None)
+    names = _POSITIONALS.get(command)
+    if names is None:
+        return None
+    positionals = []
+    for token in tokens:
+        choices = _CHOICES.get(token)
+        if choices is not None:
+            options[token] = value = next(tokens, None)
+            if value not in choices:  # None if the value is missing
+                return None
+        elif token[:1] == "-":
+            return None
+        else:
+            positionals.append(token)
+    if "--instance" not in options or len(positionals) != len(names):
+        return None
+    return SimpleNamespace(
+        output=options["--output"],
+        command=command,
+        instance=options["--instance"],
+        **dict(zip(names, positionals)),
+    )
 
 
 def _instance_for(name: str, *values):
@@ -225,7 +291,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     handlers = {
         "normalize": _cmd_normalize,
         "equiv": _cmd_equiv,

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from test_scaled_integers import ScaledIntegers
+
 from pseudoquotients import AffineLattice, DyadicSteps, PowerAffine, Tower
 
 INSTANCES = {
@@ -13,6 +15,8 @@ INSTANCES = {
     "affine-lattice-4d": AffineLattice(4),
     "dyadic-steps": DyadicSteps(),
     "tower": Tower(),
+    # test-only, with no closed form: the generic Ore route end to end
+    "scaled-integers": ScaledIntegers(),
 }
 
 

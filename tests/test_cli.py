@@ -314,17 +314,31 @@ def test_unreadable_configs_exit_1(capsys, tmp_path, content, message):
     assert (done.returncode, done.stdout, done.stderr) == expected
 
 
-def test_requests_in_one_process_build_the_parser_once(capsys, monkeypatch):
+def count_parser_builds(capsys, monkeypatch, argv):
+    """How many parsers 20 in-process runs of ``argv`` build, from a cleared cache."""
     builds = []
     original = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or original())
     cli._parser.cache_clear()
     try:
         for _ in range(20):
-            assert run(capsys, "normalize", "--instance", "power-affine", "pq(12; 3*x^2)")[0] == 0
+            assert run(capsys, *argv)[0] == 0
     finally:
         cli._parser.cache_clear()  # the next test builds from the real build_parser
-    assert len(builds) == 1
+    return len(builds)
+
+
+def test_requests_in_one_process_build_the_parser_once(capsys, monkeypatch):
+    # the "=" form is argparse's to read: _plain_args refuses it
+    argv = ("normalize", "--instance=power-affine", "pq(12; 3*x^2)")
+    assert cli._plain_args(argv) is None
+    assert count_parser_builds(capsys, monkeypatch, argv) == 1
+
+
+def test_plain_requests_build_no_parser(capsys, monkeypatch):
+    argv = ("normalize", "--instance", "power-affine", "pq(12; 3*x^2)")
+    assert cli._plain_args(argv) is not None
+    assert count_parser_builds(capsys, monkeypatch, argv) == 0
 
 
 def test_build_parser_returns_a_parser_main_does_not_share(capsys):

@@ -125,7 +125,7 @@ def test_cli_matches_golden(argv, monkeypatch):
 
 
 def test_one_process_replays_the_corpus_byte_for_byte(monkeypatch):
-    """``main`` shares one parser between requests; nothing leaks from one to the next."""
+    """``main`` shares one parser between the requests argparse reads; nothing leaks between requests."""
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(ROOT)
     golden = _golden()
