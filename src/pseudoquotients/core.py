@@ -24,8 +24,9 @@ element equality (a faithful normal form), a deterministic Ore witness
 and a canonical form for classes, and describes its own text syntax,
 JSON shape and verifier presets; applying an element to a point,
 equivalence testing, the embedding, extensions, and the fraction group
-are derived here and shared by every instance.  :func:`unchecked` gives
-each value type its one builder for values made without validation.
+are derived here and shared by every instance.  :func:`value_type`
+declares the frozen, slotted value types, and :func:`unchecked` gives
+each its one builder for values made without validation.
 
 All values are immutable and every operation is a pure function of its
 inputs, so values can be shared freely across threads.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import functools
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import CodeType, FunctionType, MemberDescriptorType
 from typing import Any, Callable, Collection, NamedTuple
@@ -53,6 +53,7 @@ __all__ = [
     "bounded_power",
     "frac_inverse",
     "unchecked",
+    "value_type",
 ]
 
 
@@ -130,40 +131,151 @@ def require_object(value: Any, what: str, keys: Collection[str]) -> dict:
 
 
 @functools.cache
-def _builder_code(arity: int) -> CodeType:
-    """The code of a builder of ``arity`` fields, its arguments named ``_0``, ``_1``, ..."""
-    writes = "".join(f"    _set{i}(_value, _{i})\n" for i in range(arity))
-    args = ", ".join(f"_{i}" for i in range(arity))
-    namespace: dict = {}
-    exec(f"def build({args}):\n    _value = _new(_cls)\n{writes}    return _value\n", namespace)
-    return namespace["build"].__code__
-
-
-@functools.cache
 def unchecked(cls: type) -> Callable[..., Any]:
     """The builder of ``cls`` values from fields as given: no validation, no normalization.
 
     ``unchecked(cls)`` is made on first use and cached, one per class; it
-    takes the dataclass fields of a slotted ``cls`` in declared order, by
-    position or by name, and writes each through its slot descriptor,
-    skipping the frozen ``__setattr__`` and any ``__post_init__``.  Hook
-    results go through it, each under an invariant of its algebra that
-    makes the fields valid, named at the call site; values from outside go
-    through the public constructor.  Builders of one arity share code
-    compiled once, with the arguments renamed to the fields: compiling
-    each builder would cost about 60 µs of import time.
+    takes the fields of a slotted ``cls`` (its ``__slots__``, as
+    :func:`value_type` or ``dataclass(slots=True)`` sets them) in declared
+    order, by position or by name, and writes each through its slot
+    descriptor, skipping the frozen ``__setattr__`` and any
+    ``__post_init__``.  Hook results go through it, each under an
+    invariant of its algebra that makes the fields valid, named at the
+    call site; values from outside go through the public constructor.
+    Builders of one arity share code compiled once, with the arguments
+    renamed to the fields (:func:`_field_code`).
     """
-    names = tuple(field.name for field in fields(cls))
+    names = cls.__dict__.get("__slots__")
+    if names is None:
+        raise TypeError(f"{cls.__name__} has no __slots__: unchecked needs value_type or slots=True")
     namespace = {"_new": object.__new__, "_cls": cls}
     for i, name in enumerate(names):
         slot = cls.__dict__.get(name)
         if type(slot) is not MemberDescriptorType:
             raise TypeError(f"{cls.__name__}.{name} is not a slot: unchecked needs slots=True")
         namespace[f"_set{i}"] = slot.__set__
-    code = _builder_code(len(names)).replace(co_varnames=(*names, "_value"))
-    build = FunctionType(code, namespace, "build")
+    build = FunctionType(_field_code("build", names), namespace, "build")
     build.__qualname__ = f"unchecked({cls.__qualname__})"
     return build
+
+
+@functools.cache
+def _method_code(method: str, arity: int) -> CodeType:
+    """The code of ``method`` for ``arity`` fields, named ``_0``, ``_1``, ... wherever they appear.
+
+    ``build`` (the builder of :func:`unchecked`) and the ``__init__`` codes
+    write each argument through the slot setter ``_set<i>`` of their
+    globals, and ``__init__+post`` then calls ``__post_init__``;
+    ``__eq__`` and ``__hash__`` compare and hash the field tuple, as the
+    methods ``dataclasses`` generates do.
+    """
+    args = ", ".join(f"_{i}" for i in range(arity))
+    mine, theirs = ("".join(f"{side}._{i}, " for i in range(arity)) for side in ("self", "other"))
+    writes = "".join(f"    _set{i}(self, _{i})\n" for i in range(arity))
+    source = {
+        "build": f"def build({args}):\n    self = _new(_cls)\n{writes}    return self\n",
+        "__init__": f"def __init__(self, {args}):\n{writes}    pass\n",
+        "__init__+post": f"def __init__(self, {args}):\n{writes}    self.__post_init__()\n",
+        "__eq__": "def __eq__(self, other):\n"
+        f"    if other.__class__ is self.__class__:\n        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n",
+        "__hash__": f"def __hash__(self):\n    return hash(({mine}))\n",
+    }[method]
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace[method.partition("+")[0]].__code__
+
+
+def _field_code(method: str, names: tuple[str, ...]) -> CodeType:
+    """The shared code of ``method`` with ``_0``, ``_1``, ... renamed to the field ``names``.
+
+    Compiling each class's own code would cost about 60 µs of import time
+    per method.
+    """
+    code = _method_code(method, len(names))
+    rename = {f"_{i}": name for i, name in enumerate(names)}.get
+    return code.replace(
+        co_names=tuple(rename(name, name) for name in code.co_names),
+        co_varnames=tuple(rename(name, name) for name in code.co_varnames),
+    )
+
+
+def _value_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _value_setattr(self, name: str, value: Any) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _value_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _value_getstate(self) -> list:
+    return [getattr(self, name) for name in self.__slots__]
+
+
+def _value_setstate(self, state: list) -> None:
+    for name, value in zip(self.__slots__, state):
+        object.__setattr__(self, name, value)
+
+
+def value_type(cls: type) -> type:
+    """``cls`` rebuilt as a frozen value type whose annotated fields are its ``__slots__``.
+
+    The fields are the class body's annotations, in order, with the
+    values assigned to them as defaults; a field without a default may
+    not follow one with a default.  The class is rebuilt with those
+    ``__slots__``, as ``dataclass(slots=True)`` does, and gains what a
+    ``@dataclass(frozen=True, slots=True)`` would: an ``__init__`` taking
+    the fields by position or by name (calling ``__post_init__`` if the
+    class has one), ``__eq__`` and ``__hash__`` on the field tuple,
+    ``__repr__`` as ``Name(field=value, ...)``, a ``__setattr__`` and a
+    ``__delattr__`` that raise AttributeError, ``__getstate__`` and
+    ``__setstate__`` for pickle and copy, and ``__match_args__``.  A method
+    the class defines itself is never replaced; a class that defines
+    ``__eq__`` alone stays unhashable, as Python makes it.
+
+    ``__init__``, ``__eq__`` and ``__hash__`` share code compiled once per
+    arity (:func:`_method_code`), with the names renamed to the fields, so
+    only the first type of each arity compiles anything, and the methods
+    run as fast as those ``dataclasses`` generates.  Nor does a module of
+    value types import ``dataclasses``, which loads ``inspect`` and took
+    longer than the rest of a one-shot request.
+    """
+    body = dict(cls.__dict__)
+    names = tuple(cls.__annotations__)
+    with_default = [name in body for name in names]
+    if with_default != sorted(with_default):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    defaults = tuple(body.pop(name) for name in names if name in body) or None
+    for name in ("__dict__", "__weakref__"):
+        body.pop(name, None)
+    body["__slots__"] = names
+    value = type(cls)(cls.__name__, cls.__bases__, body)
+    value.__qualname__ = cls.__qualname__
+    namespace = {f"_set{i}": value.__dict__[name].__set__ for i, name in enumerate(names)}
+    init = "__init__+post" if hasattr(value, "__post_init__") else "__init__"
+    for method, key in (("__init__", init), ("__eq__", "__eq__"), ("__hash__", "__hash__")):
+        if method not in body:
+            given = defaults if method == "__init__" else None
+            function = FunctionType(_field_code(key, names), namespace, method, given)
+            function.__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(value, method, function)
+    shared = {
+        "__repr__": _value_repr,
+        "__setattr__": _value_setattr,
+        "__delattr__": _value_delattr,
+        "__getstate__": _value_getstate,
+        "__setstate__": _value_setstate,
+        "__match_args__": names,
+    }
+    for name, attribute in shared.items():
+        if name not in body:
+            setattr(value, name, attribute)
+    return value
 
 
 MAX_POWER_BITS = 1 << 20  # the largest power an instance computes from its inputs
@@ -182,7 +294,7 @@ def bounded_power(base: int, k: int, what: str) -> int:
     return base**k
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Pseudoquotient:
     """A representative pair ``numerator / denominator``.
 
@@ -195,7 +307,7 @@ class Pseudoquotient:
     denominator: Any
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class OreWitness:
     """A pair certifying ``f_prime o g == g_prime o f`` for declared inputs (f, g)."""
 
@@ -203,7 +315,7 @@ class OreWitness:
     g_prime: Any
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GroupFraction:
     """A left fraction ``den^-1 o num``: one element of the extended bijection group."""
 

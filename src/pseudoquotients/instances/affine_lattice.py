@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
@@ -62,6 +61,7 @@ from ..core import (
     require_sequence,
     unchecked,
     value_text,
+    value_type,
 )
 from ..syntax import read_int_list, read_int_lists, split_pair
 
@@ -247,7 +247,7 @@ def lowest_terms(d: int, vector: Vector, matrix: Matrix = ()) -> tuple[int, Vect
 # the instance
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class AffineLatticeMap:
     """The map ``x -> matrix @ x + offset`` with a nonsingular integer matrix.
 

@@ -43,7 +43,6 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 
@@ -60,6 +59,7 @@ from ..core import (
     require_rational,
     require_sequence,
     unchecked,
+    value_type,
 )
 from ..syntax import read_rational_list, word_letters
 
@@ -68,7 +68,7 @@ __all__ = ["MAX_CELLS", "DyadicStepMap", "DyadicSteps", "StepFunction"]
 MAX_CELLS = 1 << 22  # the most cells written out for one step function
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@value_type
 class StepFunction:
     """``numerators[j] / denominator`` on ``[offset + j * 2**width, offset + (j+1) * 2**width)``.
 
@@ -161,7 +161,7 @@ def _cells(x: StepFunction, lead: int, exponent: int, form):
     return chain(repeat(form(Fraction(0)), lead), *cells)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class DyadicStepMap:
     """The normal form ``t^shift o d^halvings``; both exponents >= 0."""
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..core import (
@@ -45,6 +44,7 @@ from ..core import (
     require_int,
     require_rational,
     unchecked,
+    value_type,
 )
 from ..syntax import ParseError, parse_int
 
@@ -71,7 +71,7 @@ def _nth_root_exact(value: int, degree: int) -> int | None:
     return lo if lo**degree == value else None
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class PowerAffineMap:
     """The map ``x -> multiplier * x**exponent`` with both parameters >= 1.
 
@@ -88,7 +88,7 @@ class PowerAffineMap:
         require_int(self.exponent, "exponent", 1)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@value_type
 class RootValue:
     """The positive ``index``-th root of a nonnegative rational ``radicand``.
 

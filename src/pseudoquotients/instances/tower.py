@@ -60,7 +60,6 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from ..core import (
@@ -76,6 +75,7 @@ from ..core import (
     require_rational,
     require_sequence,
     unchecked,
+    value_type,
 )
 from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
 
@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class TowerPoint:
     """A point: integer payload on level >= 1."""
 
@@ -101,7 +101,7 @@ class TowerPoint:
         require_int(self.payload, "payload")
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class TowerValue:
     """A formal solution: rational payload on an integer level (possibly <= 0)."""
 
@@ -113,7 +113,7 @@ class TowerValue:
         object.__setattr__(self, "payload", require_rational(self.payload, "value payload"))
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class TowerMap:
     """Normal form: squeeze exponents per level, then an ascent power.
 
@@ -138,7 +138,7 @@ class TowerMap:
         return dict(self.level_powers).get(level, 0)
 
 
-@dataclass(frozen=True)
+@value_type
 class TowerConfig:
     """Ascent ``x -> x + s``, level-``j`` squeeze ``x -> a*x + c*j + e``, ``c = s*(1 - a)``."""
 
@@ -147,8 +147,8 @@ class TowerConfig:
     squeeze_const: int = 0
 
     def __post_init__(self):
-        for field in fields(self):
-            require_int(getattr(self, field.name), field.name)
+        for name in self.__slots__:
+            require_int(getattr(self, name), name)
         if self.squeeze_mul == 0:
             raise DomainError("squeeze_mul must be nonzero, or the squeeze is not injective")
 
@@ -347,7 +347,7 @@ class Tower(Instance):
     @classmethod
     def from_rules(cls, rules: dict) -> Tower:
         """The tower under a verifier config's affine rules (see ``presentation_from_config``)."""
-        names = [key.name for key in fields(TowerConfig)]
+        names = TowerConfig.__slots__
         rules = require_object(rules, "tower rule", [*names, "squeeze_level_coeff"])
         config = TowerConfig(**{name: rules[name] for name in names if name in rules})
         c = config.squeeze_level_coeff

@@ -69,7 +69,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable
 
-from .core import DomainError, UsageError, require_int, require_object, value_text
+from .core import DomainError, Preset, UsageError, require_int, require_object, value_text
 from .instances import PRESET_NAMES, PRESETS
 
 __all__ = [
@@ -82,6 +82,7 @@ __all__ = [
     "VerifyReport",
     "preset",
     "presentation_from_config",
+    "presentation_from_preset",
     "search_ore_witness",
     "verify",
     "verify_injectivity",
@@ -545,6 +546,25 @@ def preset(name: str, max_depth: int | None = None) -> Presentation:
     return presentation_from_config({"preset": name, "max_depth": max_depth})
 
 
+def presentation_from_preset(spec: Preset, label: str, max_depth: int | None = None) -> Presentation:
+    """The presentation of a :class:`~pseudoquotients.core.Preset`, at its own depth unless given.
+
+    Each generator is compiled once by the preset instance's ``action``
+    hook into a callable that checks no point, so the samples are checked
+    here, once.  An instance outside the built-in registry reaches the
+    verifier through this function; ``presentation_from_config`` calls it
+    for every preset.
+    """
+    instance = spec.instance
+    return Presentation(
+        generators=tuple((gen, instance.action(element)) for gen, element in spec.generators),
+        sample_points=tuple(map(instance._check_point, spec.samples)),
+        max_depth=spec.depth if max_depth is None else max_depth,
+        label=label,
+        point_text=instance.point_text,
+    )
+
+
 def _config_text(value: Any, what: str) -> str:
     """``value`` if it is a JSON string, else a DomainError (so ``1`` and ``"1"`` stay apart)."""
     if not isinstance(value, str):
@@ -606,17 +626,10 @@ def presentation_from_config(config: Any) -> Presentation:
         rules_keys = (name,) if spec.from_rules is not None else ()
         require_object(config, "config key", ("preset", "max_depth", *rules_keys))
         # custom rules under config[name] rebuild the preset's instance
-        instance, label = spec.instance, name
+        label = name
         if rules_keys and config.get(name) is not None:
-            instance, label = spec.from_rules(config[name]), f"{name} (custom rules)"
-        return Presentation(
-            generators=tuple((gen, instance.action(element)) for gen, element in spec.generators),
-            # the compiled actions check no point: the samples are checked here, once
-            sample_points=tuple(map(instance._check_point, spec.samples)),
-            max_depth=spec.depth if depth is None else depth,
-            label=label,
-            point_text=instance.point_text,
-        )
+            spec, label = spec._replace(instance=spec.from_rules(config[name])), f"{name} (custom rules)"
+        return presentation_from_preset(spec, label, depth)
     require_object(config, "config key", _INT_CONFIG_KEYS)
     if config.get("domain") != "int":
         raise DomainError("config needs either a 'preset' or '\"domain\": \"int\"'")

@@ -1,6 +1,8 @@
 """Modules load on first use: only ``verify`` imports the bounded verifier,
-and only the command lines that argparse reads (help, ``verify``, usage
-errors) import argparse.
+only the command lines that argparse reads (help, ``verify``, usage
+errors) import argparse, and no plain request imports ``dataclasses`` or
+the ``inspect`` it loads, since the value types are built by
+``core.value_type``.
 
 Each check runs in a fresh interpreter, since this test process has
 already imported both.
@@ -130,6 +132,58 @@ def test_usage_errors_load_argparse_and_print_the_golden_stderr(argv):
         for entry in json.loads((ROOT / "tests" / "golden_cli.json").read_text("utf-8"))
     }[tuple(argv)]
     assert cli_run(tuple(argv)) == (golden["code"], golden["stdout"], golden["stderr"], ["argparse"])
+
+
+# a normalize, an equiv and an apply for each instance, all of which exit 0
+PER_INSTANCE = {
+    "power-affine": (
+        ("normalize", "pq(12; 3*x^2)"),
+        ("equiv", "pq(12; 3*x^2)", "pq(4; 1*x^1)"),
+        ("apply", "2*x^1", "pq(12; 3*x^2)"),
+    ),
+    "affine-lattice": (
+        ("normalize", "pq([4]; aff([[2]],[0]))"),
+        ("equiv", "pq([4]; aff([[2]],[0]))", "pq([2]; aff([[1]],[0]))"),
+        ("apply", "frac(aff([[2,0],[0,1]],[1,0]), aff([[1,1],[0,1]],[0,0]))", "pq([7,1]; aff([[1,1],[0,3]],[0,-2]))"),
+    ),
+    "dyadic-steps": (
+        ("normalize", "pq([3,1/2]; t^2 d^1)"),
+        ("equiv", "pq([3]; t^0 d^1)", "pq([3,1/2]; t^2 d^1)"),
+        ("apply", "d^1", "pq([3]; t^0 d^1)"),
+    ),
+    "tower": (
+        ("normalize", "pq((1,2); P1^2)"),
+        ("equiv", "pq((2, 5); P1^1 P3^2 F^2)", "pq((1, 3); P1)"),
+        ("apply", "F", "pq((1,2); P1^2)"),
+    ),
+}
+START_UP = ("dataclasses", "inspect")
+
+
+def start_up_loads(argvs) -> list:
+    """``[exit code, modules of START_UP loaded so far]`` after each of ``argvs``, in one child."""
+    code = f"""
+        import contextlib, io, json, sys
+        from pseudoquotients import cli
+        found = [[None, [name for name in {START_UP!r} if name in sys.modules]]]
+        for argv in {[list(argv) for argv in argvs]!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            found.append([code, [name for name in {START_UP!r} if name in sys.modules]])
+        print(json.dumps(found))
+        """
+    return run_child(code)
+
+
+@pytest.mark.parametrize("name", PER_INSTANCE)
+def test_plain_requests_load_neither_dataclasses_nor_inspect(name):
+    argvs = [(command, "--instance", name, *texts) for command, *texts in PER_INSTANCE[name]]
+    assert start_up_loads(argvs) == [[None, []], [0, []], [0, []], [0, []]]
+
+
+def test_verify_may_load_dataclasses_and_inspect():
+    # the verifier's report types are dataclasses; the check above would see them
+    assert start_up_loads([("verify", "tower", "--depth", "2")]) == [[None, []], [3, list(START_UP)]]
 
 
 def test_star_import_binds_every_public_name_to_its_definition():

@@ -29,7 +29,7 @@ from pseudoquotients import (
 )
 from pseudoquotients.core import Preset, require_int
 from pseudoquotients.syntax import parse_int
-from pseudoquotients.verifier import Presentation
+from pseudoquotients.verifier import presentation_from_preset
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,15 +167,7 @@ def test_text_hooks_round_trip():
 
 def test_the_verifier_passes_its_preset():
     spec = ScaledIntegers.presets()["scaled-integers"]
-    report = verify(
-        Presentation(
-            generators=tuple((name, spec.instance.action(g)) for name, g in spec.generators),
-            sample_points=spec.samples,
-            max_depth=spec.depth,
-            label="scaled-integers",
-            point_text=spec.instance.point_text,
-        )
-    ).to_json()
+    report = verify(presentation_from_preset(spec, "scaled-integers")).to_json()
     assert report["injectivity"]["status"] == "pass"
     assert report["cancellation"]["status"] == "pass"
     assert len(report["ore"]) == 3 and all("f_prime" in entry for entry in report["ore"])

@@ -10,12 +10,12 @@ validates and normalizes, every such value must come back equal and with
 the same hash: a result that broke an invariant would be refused, or
 normalized into a different value.  A builder from ``core.unchecked``
 writes slots and skips ``__init__``, so each such value must also have
-every dataclass field set, no ``__dict__``, and no more memory than a
-slotted value built by a generated ``__init__``.
+every field of its ``__slots__`` set, no ``__dict__``, and no more
+memory than a slotted dataclass value built by a generated ``__init__``.
 """
 
 import tracemalloc
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import pytest
 
@@ -42,15 +42,15 @@ CHAIN = 3
 
 def assert_holds_its_fields(value):
     assert not hasattr(value, "__dict__")
-    assert type(value).__slots__ == tuple(field.name for field in fields(value))
-    for field in fields(value):
-        getattr(value, field.name)  # an unset slot raises AttributeError
+    assert type(value).__slots__ == tuple(type(value).__annotations__)
+    for name in type(value).__slots__:
+        getattr(value, name)  # an unset slot raises AttributeError
 
 
 def rebuilt(f):
     """``f`` rebuilt from its fields through its type's public constructor."""
     assert_holds_its_fields(f)
-    return type(f)(*(getattr(f, field.name) for field in fields(f)))
+    return type(f)(*(getattr(f, name) for name in type(f).__slots__))
 
 
 def hook_results(instance, rng):
@@ -195,9 +195,22 @@ def test_one_builder_per_class_takes_fields_by_position_or_by_name():
         build(((1, 2),))  # every field, no defaults
 
 
+@dataclass(frozen=True)
+class _Unslotted:
+    level: int
+    payload: int
+
+
 def test_unchecked_needs_a_slotted_dataclass():
     with pytest.raises(TypeError, match="slots=True"):
-        unchecked(TowerConfig)
+        unchecked(_Unslotted)
+
+
+def test_unchecked_builds_a_slotted_dataclass():
+    # an instance module outside the package may still declare its values as dataclasses
+    build = unchecked(_Two)
+    assert build(1, 5) == build(payload=5, level=1) == _Two(1, 5)
+    assert_holds_its_fields(build(1, 5))
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,18 @@ def test_instance_presets_pass(name):
     assert report.validated
 
 
+@pytest.mark.parametrize("name", verifier.PRESET_NAMES)
+def test_a_preset_gives_the_presentation_its_name_gives(name):
+    # presentation_from_config builds every named preset through presentation_from_preset
+    spec, depth = verifier.PRESETS[name], 3
+    built = verifier.presentation_from_preset(spec, name, depth)
+    assert (built.names, built.sample_points, built.max_depth, built.label) == (
+        tuple(gen for gen, _ in spec.generators), spec.samples, depth, name,
+    )
+    assert verify(built).to_json() == verify(preset(name, depth)).to_json()
+    assert verifier.presentation_from_preset(spec, "mine").max_depth == spec.depth
+
+
 def test_affine_preset_witness_matches_closed_form():
     # search over words {a: x+1, b: 2x} reproduces the instance witness for (a, b)
     pres = preset("affine-lattice")
