@@ -16,7 +16,9 @@ rational numbers are exact ``"p/q"`` strings.  Exit codes: 0 success,
 every other command line (``verify``, ``--help``, ``--instance=...``, an
 error) goes to the argparse parser, which is built on the first such call
 and reused.  The bounded verifier is imported only for ``verify``, so the
-other subcommands never load it.
+other subcommands never load it.  Each of those builds its instance once
+and reads its texts through it; an affine request builds a second
+instance, of the dimension its maps carry.
 """
 
 from __future__ import annotations
@@ -28,16 +30,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .core import DomainError, UsageError
-from .grammar import (
-    ParseError,
-    canonical_json,
-    element_text,
-    parse_element,
-    parse_frac,
-    parse_pq,
-    pq_text,
-)
 from .instances import INSTANCE_NAMES, PRESET_NAMES, create_instance
+from .syntax import ParseError, parse_frac, parse_pq, pq_text
 
 if TYPE_CHECKING:
     import argparse
@@ -162,11 +156,28 @@ def _plain_args(argv):
     )
 
 
-def _instance_for(name: str, *values):
+# The handlers reach the instance's text hooks through these module globals,
+# as they do parse_pq, parse_frac, pq_text and create_instance, because
+# perfbench/spans.py wraps them here, until the --stats counters planned in
+# ROADMAP.md replace that tracer.
+def parse_element(instance, text):
+    return instance.parse_element(text)
+
+
+def element_text(instance, element) -> str:
+    return instance.element_text(element)
+
+
+def canonical_json(instance, value) -> dict:
+    return instance.canonical_json(value)
+
+
+def _instance_for(instance, *values):
+    """``instance``, or a new one of the dimension that the affine maps among ``values`` carry."""
     dims = {getattr(v, "dim", None) for v in values} - {None}
     if len(dims) > 1:
         raise UsageError(f"mixed dimensions {sorted(dims)} in one invocation")
-    return create_instance(name, dim=dims.pop() if dims else 1)
+    return create_instance(instance.name, dim=dims.pop()) if dims else instance
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -213,12 +224,13 @@ def _emit(payload: dict, output: str) -> None:
 
 
 def _cmd_normalize(args) -> int:
-    p = parse_pq(args.instance, args.pq)
-    instance = _instance_for(args.instance, p.denominator)
+    instance = create_instance(args.instance)
+    p = parse_pq(instance, args.pq)
+    instance = _instance_for(instance, p.denominator)
     _emit(
         {
             "instance": args.instance,
-            "canonical": canonical_json(args.instance, instance.canonical_value(p)),
+            "canonical": canonical_json(instance, instance.canonical_value(p)),
         },
         args.output,
     )
@@ -226,17 +238,18 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    left = parse_pq(args.instance, args.left)
-    right = parse_pq(args.instance, args.right)
-    instance = _instance_for(args.instance, left.denominator, right.denominator)
+    instance = create_instance(args.instance)
+    left = parse_pq(instance, args.left)
+    right = parse_pq(instance, args.right)
+    instance = _instance_for(instance, left.denominator, right.denominator)
     witness = instance.ore_complete(left.denominator, right.denominator)
     _emit(
         {
             "instance": args.instance,
             "equivalent": instance.pq_equivalent(left, right),
             "witness": {
-                "f_prime": element_text(args.instance, witness.f_prime),
-                "g_prime": element_text(args.instance, witness.g_prime),
+                "f_prime": element_text(instance, witness.f_prime),
+                "g_prime": element_text(instance, witness.g_prime),
             },
         },
         args.output,
@@ -245,21 +258,22 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    p = parse_pq(args.instance, args.pq)
+    instance = create_instance(args.instance)
+    p = parse_pq(instance, args.pq)
     map_text = args.map.strip()
     if map_text.startswith("frac("):
-        frac = parse_frac(args.instance, map_text)
-        instance = _instance_for(args.instance, frac.den, frac.num, p.denominator)
+        frac = parse_frac(instance, map_text)
+        instance = _instance_for(instance, frac.den, frac.num, p.denominator)
         result = instance.frac_apply(frac, p)
     else:
-        element = parse_element(args.instance, map_text)
-        instance = _instance_for(args.instance, element, p.denominator)
+        element = parse_element(instance, map_text)
+        instance = _instance_for(instance, element, p.denominator)
         result = instance.extend_apply(element, p)
     _emit(
         {
             "instance": args.instance,
-            "result": pq_text(args.instance, result),
-            "canonical": canonical_json(args.instance, instance.canonical_value(result)),
+            "result": pq_text(instance, result),
+            "canonical": canonical_json(instance, instance.canonical_value(result)),
         },
         args.output,
     )

@@ -1,6 +1,13 @@
-"""Lexing helpers shared by every instance's text syntax.
+"""Text syntax shared by every instance, and the composite forms.
 
-Each helper takes the absolute offset of its text within the whole
+Each instance reads and prints its own elements and points (see
+:mod:`pseudoquotients.instances`), with ``parse(print(value)) == value``.
+:func:`parse_pq` / :func:`pq_text` and :func:`parse_frac` /
+:func:`frac_text` read and print ``pq(<point>; <element>)`` and
+``frac(<element>, <element>)`` through any :class:`core.Instance`, where
+``frac(f, g)`` is the group element "apply g, then undo f".
+
+Each lexing helper takes the absolute offset of its text within the whole
 input, so a :class:`ParseError` raised anywhere inside ``pq(...)`` or
 ``frac(...)`` reports its position in the complete argument.  Rational
 numbers are written ``p/q`` (or a bare integer); no floats anywhere.
@@ -19,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import DomainError
+from .core import DomainError, GroupFraction, Instance, Pseudoquotient
 
 
 _INT = r"-?[0-9]+"
@@ -161,3 +168,23 @@ def word_letters(text: str, offset: int, letter: re.Pattern, word: str, letters:
         if exponent < 0:
             raise DomainError(f"negative exponent {exponent} in {token.group()!r}")
         yield match, exponent
+
+
+def parse_pq(instance: Instance, text: str) -> Pseudoquotient:
+    """Parse ``pq(<point>; <element>)`` in ``instance``'s syntax."""
+    point, element = split_pair(text, 0, "pq", ";", "pq takes exactly 'pq(<point>; <element>)'")
+    return Pseudoquotient(instance.parse_point(*point), instance.parse_element(*element))
+
+
+def pq_text(instance: Instance, p: Pseudoquotient) -> str:
+    return f"pq({instance.point_text(p.numerator)}; {instance.element_text(p.denominator)})"
+
+
+def parse_frac(instance: Instance, text: str) -> GroupFraction:
+    """Parse ``frac(<den element>, <num element>)`` in ``instance``'s syntax."""
+    den, num = split_pair(text, 0, "frac", ",", "frac takes exactly 'frac(<element>, <element>)'")
+    return GroupFraction(instance.parse_element(*den), instance.parse_element(*num))
+
+
+def frac_text(instance: Instance, frac: GroupFraction) -> str:
+    return f"frac({instance.element_text(frac.den)}, {instance.element_text(frac.num)})"

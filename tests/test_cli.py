@@ -5,10 +5,11 @@ import time
 from pathlib import Path
 
 import pytest
+from test_grammar import parse_element, parse_pq
+from test_import_hygiene import PER_INSTANCE
 
-from pseudoquotients import cli
+from pseudoquotients import cli, create_instance
 from pseudoquotients.cli import main
-from pseudoquotients.grammar import parse_element, parse_pq
 from pseudoquotients.verifier import PRESET_NAMES
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "cancellation_fail.json")
@@ -226,6 +227,67 @@ def test_mixed_dimensions_exit_1(capsys):
         "pq([1,2]; aff([[1,0],[0,1]],[0,0]))",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("name", PER_INSTANCE)
+def test_a_plain_request_builds_its_instance_once(capsys, monkeypatch, name):
+    cls = type(create_instance(name))
+    create = cls.create
+    builds = []
+    monkeypatch.setattr(cls, "create", classmethod(lambda _, dim=1: builds.append(dim) or create(dim)))
+    counts = []
+    for command, *texts in PER_INSTANCE[name]:
+        before = len(builds)
+        assert run(capsys, command, "--instance", name, *texts)[0] == 0
+        counts.append(len(builds) - before)
+    # an affine request builds a second instance, of the dimension its maps carry
+    assert counts == ([2, 2, 2] if name == "affine-lattice" else [1, 1, 1])
+
+
+# perfbench/spans.py wraps these attributes of cli and reads the second
+# argument of each parse function as the text parsed
+TRACED = ("parse_pq", "parse_frac", "parse_element", "pq_text", "element_text", "canonical_json")
+
+
+def test_main_reaches_the_traced_functions_through_the_cli_globals(capsys, monkeypatch):
+    assert all(callable(getattr(cli, name)) for name in (*TRACED, "create_instance", "build_parser"))
+    calls = []
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+
+        return wrapper
+
+    for name in (*TRACED, "create_instance"):
+        monkeypatch.setattr(cli, name, counted(name))
+    texts = set()
+    for name, requests in PER_INSTANCE.items():
+        for command, *arguments in requests:
+            texts.update(arguments)
+            assert run(capsys, command, "--instance", name, *arguments)[0] == 0
+    counts = {name: sum(called == name for called, _, _ in calls) for name in (*TRACED, "create_instance")}
+    assert counts == {
+        "parse_pq": 16,
+        "parse_frac": 1,
+        "parse_element": 3,
+        "pq_text": 4,
+        "element_text": 8,
+        "canonical_json": 8,
+        "create_instance": 15,
+    }
+    built = {id(result) for called, _, result in calls if called == "create_instance"}
+    texts |= {text.strip() for text in texts}  # apply strips its map text
+    for called, args, _ in calls:
+        if called in TRACED:
+            # the tracer shadows the hooks of each instance cli.create_instance returns
+            assert len(args) == 2 and id(args[0]) in built, called
+        if called.startswith("parse_"):
+            assert args[1] in texts, called
 
 
 @pytest.mark.parametrize(

@@ -16,19 +16,47 @@ from pseudoquotients import (
     TowerMap,
     TowerPoint,
     create_instance,
+    syntax,
 )
-from pseudoquotients.grammar import (
-    ParseError,
-    canonical_json,
-    element_text,
-    frac_text,
-    parse_element,
-    parse_frac,
-    parse_point,
-    parse_pq,
-    point_text,
-    pq_text,
-)
+from pseudoquotients.syntax import ParseError
+
+
+# The forms keyed by an instance's public name, as the tests below read them:
+# each builds its instance with create_instance(name).
+def parse_element(name, text):
+    return create_instance(name).parse_element(text)
+
+
+def element_text(name, element):
+    return create_instance(name).element_text(element)
+
+
+def parse_point(name, text):
+    return create_instance(name).parse_point(text)
+
+
+def point_text(name, point):
+    return create_instance(name).point_text(point)
+
+
+def canonical_json(name, value):
+    return create_instance(name).canonical_json(value)
+
+
+def parse_pq(name, text):
+    return syntax.parse_pq(create_instance(name), text)
+
+
+def pq_text(name, p):
+    return syntax.pq_text(create_instance(name), p)
+
+
+def parse_frac(name, text):
+    return syntax.parse_frac(create_instance(name), text)
+
+
+def frac_text(name, frac):
+    return syntax.frac_text(create_instance(name), frac)
 
 
 def test_power_affine_element_forms():

@@ -2,7 +2,8 @@
 only the command lines that argparse reads (help, ``verify``, usage
 errors) import argparse, and no plain request imports ``dataclasses`` or
 the ``inspect`` it loads, since the value types are built by
-``core.value_type``.
+``core.value_type``.  A plain request loads a fixed set of the package's
+modules, and ``verify`` adds the verifier alone.
 
 Each check runs in a fresh interpreter, since this test process has
 already imported both.
@@ -158,32 +159,60 @@ PER_INSTANCE = {
     ),
 }
 START_UP = ("dataclasses", "inspect")
+# every module of the package that a plain request loads, all of them at import
+PLAIN_MODULES = sorted(
+    f"pseudoquotients{name}"
+    for name in ("", ".cli", ".core", ".syntax", ".instances", ".instances.affine_lattice",
+                 ".instances.dyadic_steps", ".instances.power_affine", ".instances.tower")
+)
 
 
-def start_up_loads(argvs) -> list:
-    """``[exit code, modules of START_UP loaded so far]`` after each of ``argvs``, in one child."""
+def loads_after(argvs) -> list:
+    """``[exit code, modules of START_UP and of the package loaded so far]`` after each of ``argvs``, in one child."""
     code = f"""
         import contextlib, io, json, sys
         from pseudoquotients import cli
-        found = [[None, [name for name in {START_UP!r} if name in sys.modules]]]
+        def loaded():
+            return sorted(name for name in sys.modules
+                          if name in {START_UP!r} or name.partition(".")[0] == "pseudoquotients")
+        found = [[None, loaded()]]
         for argv in {[list(argv) for argv in argvs]!r}:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv)
-            found.append([code, [name for name in {START_UP!r} if name in sys.modules]])
+            found.append([code, loaded()])
         print(json.dumps(found))
         """
     return run_child(code)
 
 
+def start_up_loads(argvs) -> list:
+    """``[exit code, modules of START_UP loaded so far]`` after each of ``argvs``, in one child."""
+    return [[code, [name for name in names if name in START_UP]] for code, names in loads_after(argvs)]
+
+
+def plain_argvs(name) -> list:
+    return [(command, "--instance", name, *texts) for command, *texts in PER_INSTANCE[name]]
+
+
 @pytest.mark.parametrize("name", PER_INSTANCE)
 def test_plain_requests_load_neither_dataclasses_nor_inspect(name):
-    argvs = [(command, "--instance", name, *texts) for command, *texts in PER_INSTANCE[name]]
-    assert start_up_loads(argvs) == [[None, []], [0, []], [0, []], [0, []]]
+    assert start_up_loads(plain_argvs(name)) == [[None, []], [0, []], [0, []], [0, []]]
 
 
 def test_verify_may_load_dataclasses_and_inspect():
     # the verifier's report types are dataclasses; the check above would see them
     assert start_up_loads([("verify", "tower", "--depth", "2")]) == [[None, []], [3, list(START_UP)]]
+
+
+@pytest.mark.parametrize("name", PER_INSTANCE)
+def test_plain_requests_load_exactly_the_package_modules_they_use(name):
+    assert loads_after(plain_argvs(name)) == [[None, PLAIN_MODULES]] + [[0, PLAIN_MODULES]] * 3
+
+
+def test_verify_adds_only_the_verifier_to_the_package_modules():
+    (_, before), (code, after) = loads_after([("verify", "tower", "--depth", "2")])
+    assert before == PLAIN_MODULES and code == 3
+    assert sorted(set(after) - set(START_UP)) == sorted([*PLAIN_MODULES, VERIFIER])
 
 
 def test_star_import_binds_every_public_name_to_its_definition():

@@ -8,7 +8,8 @@ pseudoquotient space is ℚ: the class ``x/k`` is the rational ``x/k``, and
 the fraction ``den⁻¹∘num`` of ``(k, j)`` acts as multiplication by
 ``j/k``.  ``tests/conftest.py`` adds it to the instances of the
 parametrised calculus suite; it has no CLI name, and no test of that
-suite needs one.
+suite needs one.  The composite ``pq(...)`` and ``frac(...)`` forms of
+:mod:`pseudoquotients.syntax` read and print its values all the same.
 """
 
 import itertools
@@ -25,10 +26,11 @@ from pseudoquotients import (
     Instance,
     OreWitness,
     Pseudoquotient,
+    syntax,
     verify,
 )
 from pseudoquotients.core import Preset, require_int
-from pseudoquotients.syntax import parse_int
+from pseudoquotients.syntax import ParseError, parse_int
 from pseudoquotients.verifier import presentation_from_preset
 
 
@@ -163,6 +165,19 @@ def test_text_hooks_round_trip():
     assert Z.canonical_json(Z.canonical_value(pq(-6, 4))) == {"rational": "-3/2"}
     with pytest.raises(DomainError, match="scale must be >= 1, got 0"):
         Z.parse_element("0")
+
+
+def test_the_composite_forms_read_and_print_an_unregistered_instance():
+    for p in (pq(-7, 4), pq(0, 1), pq(12, 10**30)):
+        assert syntax.parse_pq(Z, syntax.pq_text(Z, p)) == p
+    assert syntax.pq_text(Z, pq(-7, 4)) == "pq(-7; 4)"
+    assert syntax.parse_pq(Z, " pq( 12 ;3 ) ") == pq(12, 3)
+    for f in (frac(2, 3), frac(1, 1), frac(10**20, 7)):
+        assert syntax.parse_frac(Z, syntax.frac_text(Z, f)) == f
+    assert syntax.frac_text(Z, frac(2, 3)) == "frac(2, 3)"
+    with pytest.raises(ParseError, match=r"^expected an integer, got '3x' \(at offset 6\)$") as raised:
+        syntax.parse_pq(Z, "pq(12;3x)")
+    assert raised.value.position == 6
 
 
 def test_the_verifier_passes_its_preset():
