@@ -17,8 +17,9 @@ every other command line (``verify``, ``--help``, ``--instance=...``, an
 error) goes to the argparse parser, which is built on the first such call
 and reused.  The bounded verifier is imported only for ``verify``, so the
 other subcommands never load it.  Each of those builds its instance once
-and reads its texts through it; an affine request builds a second
-instance, of the dimension its maps carry.
+and reads its texts through it; an affine request whose maps are not 1-D
+builds a second instance, of their dimension.  Each handler returns its
+payload and exit code, and ``main`` alone writes the payload.
 """
 
 from __future__ import annotations
@@ -39,6 +40,20 @@ if TYPE_CHECKING:
 __all__ = ["build_parser", "entry", "main"]
 
 
+_OUTPUTS = ("json", "text")
+_PQ = "pq(<point>; <element>)"
+# the plain commands in the order of their subparsers: each command's help, then
+# its positionals and their help, in order; _plain_args reads the same names
+_COMMANDS = {
+    "normalize": ("canonical value of a pseudoquotient", {"pq": _PQ}),
+    "equiv": ("decide equivalence of two pseudoquotients", {"left": _PQ, "right": _PQ}),
+    "apply": (
+        "apply an extended element or a group fraction to a pseudoquotient",
+        {"map": "<element> or frac(<element>, <element>)", "pq": _PQ},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # only help, verify and refused command lines need it
 
@@ -46,40 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pseudoquotients",
         description="Exact calculus on pseudoquotient spaces of injective semigroup actions.",
     )
-    parser.add_argument(
-        "--output", choices=("json", "text"), default="json", help="output format"
-    )
+    parser.add_argument("--output", choices=_OUTPUTS, default="json", help="output format")
     # accepted after the subcommand too; only overrides when actually given
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
+    shared.add_argument("--output", choices=_OUTPUTS, default=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def with_instance(sub):
+    for name, (summary, positionals) in _COMMANDS.items():
+        sub = commands.add_parser(name, parents=[shared], help=summary)
         sub.add_argument(
             "--instance", required=True, choices=INSTANCE_NAMES, help="which action to use"
         )
-
-    normalize = commands.add_parser(
-        "normalize", parents=[shared], help="canonical value of a pseudoquotient"
-    )
-    with_instance(normalize)
-    normalize.add_argument("pq", help="pq(<point>; <element>)")
-
-    equiv = commands.add_parser(
-        "equiv", parents=[shared], help="decide equivalence of two pseudoquotients"
-    )
-    with_instance(equiv)
-    equiv.add_argument("left", help="pq(<point>; <element>)")
-    equiv.add_argument("right", help="pq(<point>; <element>)")
-
-    apply_cmd = commands.add_parser(
-        "apply",
-        parents=[shared],
-        help="apply an extended element or a group fraction to a pseudoquotient",
-    )
-    with_instance(apply_cmd)
-    apply_cmd.add_argument("map", help="<element> or frac(<element>, <element>)")
-    apply_cmd.add_argument("pq", help="pq(<point>; <element>)")
+        for dest, text in positionals.items():
+            sub.add_argument(dest, help=text)
 
     verify_cmd = commands.add_parser(
         "verify",
@@ -101,10 +94,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# the positionals of each command _plain_args reads, in order, and the choices
-# of the two options it reads
-_POSITIONALS = {"normalize": ("pq",), "equiv": ("left", "right"), "apply": ("map", "pq")}
-_CHOICES = {"--instance": frozenset(INSTANCE_NAMES), "--output": frozenset(("json", "text"))}
+# the choices of the two options _plain_args reads
+_CHOICES = {"--instance": frozenset(INSTANCE_NAMES), "--output": frozenset(_OUTPUTS)}
 
 
 def _plain_args(argv):
@@ -132,9 +123,9 @@ def _plain_args(argv):
         if value not in _CHOICES[command]:
             return None
         command = next(tokens, None)
-    names = _POSITIONALS.get(command)
-    if names is None:
+    if command not in _COMMANDS:
         return None
+    names = _COMMANDS[command][1]
     positionals = []
     for token in tokens:
         choices = _CHOICES.get(token)
@@ -173,11 +164,13 @@ def canonical_json(instance, value) -> dict:
 
 
 def _instance_for(instance, *values):
-    """``instance``, or a new one of the dimension that the affine maps among ``values`` carry."""
+    """``instance``, or a new one if the affine maps among ``values`` carry another dimension."""
     dims = {getattr(v, "dim", None) for v in values} - {None}
     if len(dims) > 1:
         raise UsageError(f"mixed dimensions {sorted(dims)} in one invocation")
-    return create_instance(instance.name, dim=dims.pop()) if dims else instance
+    if not dims or dims == {instance.dim}:
+        return instance
+    return create_instance(instance.name, dim=dims.pop())
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -223,41 +216,31 @@ def _emit(payload: dict, output: str) -> None:
         print(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> tuple[dict, int]:
     instance = create_instance(args.instance)
     p = parse_pq(instance, args.pq)
     instance = _instance_for(instance, p.denominator)
-    _emit(
-        {
-            "instance": args.instance,
-            "canonical": canonical_json(instance, instance.canonical_value(p)),
-        },
-        args.output,
-    )
-    return 0
+    canonical = canonical_json(instance, instance.canonical_value(p))
+    return {"instance": args.instance, "canonical": canonical}, 0
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple[dict, int]:
     instance = create_instance(args.instance)
     left = parse_pq(instance, args.left)
     right = parse_pq(instance, args.right)
     instance = _instance_for(instance, left.denominator, right.denominator)
     witness = instance.ore_complete(left.denominator, right.denominator)
-    _emit(
-        {
-            "instance": args.instance,
-            "equivalent": instance.pq_equivalent(left, right),
-            "witness": {
-                "f_prime": element_text(instance, witness.f_prime),
-                "g_prime": element_text(instance, witness.g_prime),
-            },
+    return {
+        "instance": args.instance,
+        "equivalent": instance.pq_equivalent(left, right),
+        "witness": {
+            "f_prime": element_text(instance, witness.f_prime),
+            "g_prime": element_text(instance, witness.g_prime),
         },
-        args.output,
-    )
-    return 0
+    }, 0
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple[dict, int]:
     instance = create_instance(args.instance)
     p = parse_pq(instance, args.pq)
     map_text = args.map.strip()
@@ -269,18 +252,14 @@ def _cmd_apply(args) -> int:
         element = parse_element(instance, map_text)
         instance = _instance_for(instance, element, p.denominator)
         result = instance.extend_apply(element, p)
-    _emit(
-        {
-            "instance": args.instance,
-            "result": pq_text(instance, result),
-            "canonical": canonical_json(instance, instance.canonical_value(result)),
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "instance": args.instance,
+        "result": pq_text(instance, result),
+        "canonical": canonical_json(instance, instance.canonical_value(result)),
+    }, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     from .verifier import presentation_from_config, verify
 
     if bool(args.preset) == bool(args.config):
@@ -300,8 +279,7 @@ def _cmd_verify(args) -> int:
     if args.depth is not None and isinstance(config, dict):
         config = {**config, "max_depth": args.depth}
     report = verify(presentation_from_config(config))
-    _emit(report.to_json(), args.output)
-    return 3 if report.has_counterexample else 0
+    return report.to_json(), 3 if report.has_counterexample else 0
 
 
 def main(argv=None) -> int:
@@ -315,7 +293,9 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        payload, code = handlers[args.command](args)
+        _emit(payload, args.output)
+        return code
     except ParseError as error:
         print(f"syntax error: {error}", file=sys.stderr)
         return 2

@@ -46,7 +46,7 @@ from ..core import (
     unchecked,
     value_type,
 )
-from ..syntax import ParseError, parse_int
+from ..syntax import ParseError, lead_offset, parse_int
 
 __all__ = ["PowerAffine", "PowerAffineMap", "RootValue"]
 
@@ -240,8 +240,7 @@ class PowerAffine(Instance):
     def parse_element(self, text: str, offset: int = 0) -> PowerAffineMap:
         match = _ELEMENT.fullmatch(text)
         if not match:
-            lead = offset + len(text) - len(text.lstrip())
-            raise ParseError(f"expected m*x^n, got {text.strip()!r}", lead)
+            raise ParseError(f"expected m*x^n, got {text.strip()!r}", lead_offset(text, offset))
         multiplier = int(match.group(1)) if match.group(1) else 1
         exponent = int(match.group(2)) if match.group(2) else 1
         return PowerAffineMap(multiplier, exponent)

@@ -77,7 +77,7 @@ from ..core import (
     unchecked,
     value_type,
 )
-from ..syntax import ParseError, parse_bracketed, parse_int, word_letters
+from ..syntax import ParseError, lead_offset, parse_bracketed, parse_int, word_letters
 
 __all__ = [
     "Tower",
@@ -322,8 +322,7 @@ class Tower(Instance):
     def parse_point(self, text: str, offset: int = 0) -> TowerPoint:
         pieces = parse_bracketed(text, offset, "()", "a (level, payload) point")
         if len(pieces) != 2:
-            lead = offset + len(text) - len(text.lstrip())
-            raise ParseError("expected exactly (level, payload)", lead)
+            raise ParseError("expected exactly (level, payload)", lead_offset(text, offset))
         return TowerPoint(parse_int(*pieces[0]), parse_int(*pieces[1]))
 
     def point_text(self, x: TowerPoint) -> str:

@@ -77,17 +77,22 @@ def split_top_level(text: str, separator: str, offset: int = 0) -> list[tuple[st
     return pieces
 
 
+def lead_offset(text: str, offset: int) -> int:
+    """The offset of the first non-blank character of ``text``, which starts at ``offset``."""
+    return offset + len(text) - len(text.lstrip())
+
+
 def parse_int(text: str, offset: int) -> int:
     value = text.strip()
     if not _INTEGER.fullmatch(value):
-        raise ParseError(f"expected an integer, got {text.strip()!r}", offset)
+        raise ParseError(f"expected an integer, got {value!r}", lead_offset(text, offset))
     return int(value)
 
 
 def parse_rational(text: str, offset: int) -> Fraction:
     match = _RATIONAL.fullmatch(text.strip())
     if not match:
-        raise ParseError(f"expected a rational p/q, got {text.strip()!r}", offset)
+        raise ParseError(f"expected a rational p/q, got {text.strip()!r}", lead_offset(text, offset))
     return _fraction(*match.groups())
 
 
@@ -125,10 +130,10 @@ def read_rational_list(text: str, offset: int) -> tuple[Fraction, ...]:
 def unwrap(text: str, offset: int, opening: str, closing: str, expected: str) -> tuple[str, int]:
     """Peel ``opening ... closing`` off ``text``; return the inside with its offset."""
     stripped = text.strip()
-    lead = offset + len(text) - len(text.lstrip())
+    start = lead_offset(text, offset)
     if not stripped.startswith(opening) or not stripped.endswith(closing):
-        raise ParseError(f"expected {expected}", lead)
-    return stripped[len(opening) : -len(closing)], lead + len(opening)
+        raise ParseError(f"expected {expected}", start)
+    return stripped[len(opening) : -len(closing)], start + len(opening)
 
 
 def split_pair(

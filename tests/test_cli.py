@@ -157,6 +157,20 @@ def test_numbers_take_ascii_digits_only(capsys, name, text):
     assert err.startswith("syntax error: ") and err.count("\n") == 1
 
 
+# a bad number after a blank: the offset is that of the number, not of the blank
+BAD_NUMBERS = {
+    "affine-lattice": ("pq([1, x]; aff([[2]],[0]))", "expected an integer, got 'x' (at offset 7)"),
+    "dyadic-steps": ("pq([1, y]; t)", "expected a rational p/q, got 'y' (at offset 7)"),
+    "tower": ("pq((1, z); F)", "expected an integer, got 'z' (at offset 7)"),
+    "power-affine": ("pq( x; 2*x^1)", "expected an integer, got 'x' (at offset 4)"),
+}
+
+
+@pytest.mark.parametrize("name, text, message", [(k, *v) for k, v in BAD_NUMBERS.items()], ids=BAD_NUMBERS)
+def test_syntax_errors_give_the_offset_of_the_bad_number(capsys, name, text, message):
+    assert run(capsys, "normalize", "--instance", name, text) == (2, "", f"syntax error: {message}\n")
+
+
 def test_domain_error_exits_1(capsys):
     code, out, err = run(
         capsys, "normalize", "--instance", "affine-lattice", "pq([0,0]; aff([[1,0],[0,0]],[0,0]))"
@@ -235,13 +249,14 @@ def test_a_plain_request_builds_its_instance_once(capsys, monkeypatch, name):
     create = cls.create
     builds = []
     monkeypatch.setattr(cls, "create", classmethod(lambda _, dim=1: builds.append(dim) or create(dim)))
-    counts = []
+    dims = []  # the dimensions each request builds its instances in
     for command, *texts in PER_INSTANCE[name]:
         before = len(builds)
         assert run(capsys, command, "--instance", name, *texts)[0] == 0
-        counts.append(len(builds) - before)
-    # an affine request builds a second instance, of the dimension its maps carry
-    assert counts == ([2, 2, 2] if name == "affine-lattice" else [1, 1, 1])
+        dims.append(builds[before:])
+    # the 1-D affine normalize and equiv use the instance they built; the 2-D
+    # apply builds a second one, of the dimension its maps carry
+    assert dims == ([[1], [1], [1, 2]] if name == "affine-lattice" else [[1], [1], [1]])
 
 
 # perfbench/spans.py wraps these attributes of cli and reads the second
@@ -278,14 +293,17 @@ def test_main_reaches_the_traced_functions_through_the_cli_globals(capsys, monke
         "pq_text": 4,
         "element_text": 8,
         "canonical_json": 8,
-        "create_instance": 15,
+        "create_instance": 13,
     }
-    built = {id(result) for called, _, result in calls if called == "create_instance"}
     texts |= {text.strip() for text in texts}  # apply strips its map text
-    for called, args, _ in calls:
-        if called in TRACED:
-            # the tracer shadows the hooks of each instance cli.create_instance returns
-            assert len(args) == 2 and id(args[0]) in built, called
+    latest = None
+    for called, args, result in calls:
+        if called == "create_instance":
+            latest = result
+        elif called in TRACED:
+            # the tracer shadows the hooks of each instance cli.create_instance returns;
+            # a handler reads and writes through the instance it built last
+            assert len(args) == 2 and args[0] is latest, called
         if called.startswith("parse_"):
             assert args[1] in texts, called
 
@@ -418,6 +436,73 @@ def test_build_parser_returns_a_parser_main_does_not_share(capsys):
     assert capsys.readouterr().err.startswith("usage: pseudoquotients normalize ")
 
 
+TOP_HELP = """\
+usage: pseudoquotients [-h] [--output {json,text}]
+                       {normalize,equiv,apply,verify} ...
+
+Exact calculus on pseudoquotient spaces of injective semigroup actions.
+
+positional arguments:
+  {normalize,equiv,apply,verify}
+    normalize           canonical value of a pseudoquotient
+    equiv               decide equivalence of two pseudoquotients
+    apply               apply an extended element or a group fraction to a
+                        pseudoquotient
+    verify              bounded check of injectivity, common multiples, and
+                        cancellation
+
+options:
+  -h, --help            show this help message and exit
+  --output {json,text}  output format
+"""
+
+NORMALIZE_HELP = """\
+usage: pseudoquotients normalize [-h] [--output {json,text}] --instance
+                                 {power-affine,affine-lattice,dyadic-steps,tower}
+                                 pq
+
+positional arguments:
+  pq                    pq(<point>; <element>)
+
+options:
+  -h, --help            show this help message and exit
+  --output {json,text}
+  --instance {power-affine,affine-lattice,dyadic-steps,tower}
+                        which action to use
+"""
+
+EQUIV_HELP = """\
+usage: pseudoquotients equiv [-h] [--output {json,text}] --instance
+                             {power-affine,affine-lattice,dyadic-steps,tower}
+                             left right
+
+positional arguments:
+  left                  pq(<point>; <element>)
+  right                 pq(<point>; <element>)
+
+options:
+  -h, --help            show this help message and exit
+  --output {json,text}
+  --instance {power-affine,affine-lattice,dyadic-steps,tower}
+                        which action to use
+"""
+
+APPLY_HELP = """\
+usage: pseudoquotients apply [-h] [--output {json,text}] --instance
+                             {power-affine,affine-lattice,dyadic-steps,tower}
+                             map pq
+
+positional arguments:
+  map                   <element> or frac(<element>, <element>)
+  pq                    pq(<point>; <element>)
+
+options:
+  -h, --help            show this help message and exit
+  --output {json,text}
+  --instance {power-affine,affine-lattice,dyadic-steps,tower}
+                        which action to use
+"""
+
 VERIFY_HELP = """\
 usage: pseudoquotients verify [-h] [--output {json,text}] [--config CONFIG]
                               [--depth DEPTH]
@@ -446,6 +531,24 @@ def test_verify_choices_are_the_preset_names_defined_once(monkeypatch):
     assert tuple(preset.choices) == PRESET_NAMES
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     assert verify_parser.format_help() == VERIFY_HELP
+
+
+HELP = {
+    "top-level": ((), TOP_HELP),
+    "normalize": (("normalize",), NORMALIZE_HELP),
+    "equiv": (("equiv",), EQUIV_HELP),
+    "apply": (("apply",), APPLY_HELP),
+    "verify": (("verify",), VERIFY_HELP),
+}
+
+
+@pytest.mark.parametrize("command, expected", HELP.values(), ids=HELP)
+def test_help_screens_are_frozen(capsys, monkeypatch, command, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as stop:
+        main([*command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def _int_config(**changes):
