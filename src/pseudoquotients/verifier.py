@@ -64,12 +64,12 @@ peak RSS, and ``affine-lattice-2d`` at depth 10 33 MB at 61 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Any, Callable
 
-from .core import DomainError, Preset, UsageError, require_int, require_object, value_text
+from .core import DomainError, Preset, UsageError, require_int, require_object, value_text, value_type
 from .instances import PRESET_NAMES, PRESETS
 
 __all__ = [
@@ -99,7 +99,7 @@ _POINT_BYTES = 100  # per point beyond its __sizeof__: its id, and its id-dict, 
 _ENTRY_BYTES = 130  # per kept action: two tuple headers and a dict slot, beside 8 per id or letter
 
 
-@dataclass(frozen=True)
+@value_type
 class Presentation:
     """Named generator actions, sample points, and a word-length bound.
 
@@ -115,7 +115,7 @@ class Presentation:
     sample_points: tuple
     max_depth: int = 5
     label: str = "custom"
-    point_text: Callable[[Any], str] = field(default=str)
+    point_text: Callable[[Any], str] = str
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -134,7 +134,14 @@ class Presentation:
         return tuple(name for name, _ in self.generators)
 
 
-@dataclass(frozen=True)
+# What dataclasses.replace(presentation, generators=...) reads, as perfbench/spans.py
+# and tests/test_compiled_actions.py call it: each field, taken by __init__.
+Presentation.__dataclass_fields__ = {
+    name: SimpleNamespace(name=name, init=True, _field_type=None) for name in Presentation.__slots__
+}
+
+
+@value_type
 class InjectivityResult:
     ok: bool
     word: Word | None = None
@@ -142,7 +149,7 @@ class InjectivityResult:
     right: Any = None
 
 
-@dataclass(frozen=True)
+@value_type
 class OreSearchResult:
     f: Word
     g: Word
@@ -154,7 +161,7 @@ class OreSearchResult:
         return self.f_prime is not None
 
 
-@dataclass(frozen=True)
+@value_type
 class CancellationResult:
     ok: bool
     f1: Word | None = None
@@ -162,7 +169,7 @@ class CancellationResult:
     g: Word | None = None
 
 
-@dataclass(frozen=True)
+@value_type
 class VerifyReport:
     label: str
     depth_used: int
@@ -171,7 +178,25 @@ class VerifyReport:
     cancellation: CancellationResult
     samples_text: tuple[str, ...]
     validated: bool
-    point_text: Callable[[Any], str] = field(default=str, repr=False, compare=False)
+    point_text: Callable[[Any], str] = str
+
+    # point_text only prints the points, so it is no part of the report's value:
+    # ==, hash and repr read the other fields
+    def _value(self) -> tuple:
+        return (self.label, self.depth_used, self.injectivity, self.ore, self.cancellation,
+                self.samples_text, self.validated)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._value() == other._value()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._value()))
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def has_counterexample(self) -> bool:
