@@ -20,6 +20,7 @@ from .core import (
 )
 from .instances import (
     INSTANCE_NAMES,
+    PRESET_NAMES,
     AffineLattice,
     AffineLatticeMap,
     DyadicStepMap,
@@ -42,7 +43,6 @@ from .instances import (
 # module globals the first time it is asked for.
 _VERIFIER_NAMES = frozenset(
     (
-        "PRESET_NAMES",
         "CancellationResult",
         "InjectivityResult",
         "OreSearchResult",

@@ -33,8 +33,9 @@ the tests' oracle).  ``(N, v)`` moves the class ``y / D`` to
 moves it to ``(N y + D v) / (d D)``; ``x / f`` moves back to
 ``x / (f g)``, read off with one :func:`det_adjugate`; and two maps
 ``(N, v) / D`` compose to ``(N1 N2, N1 v2 + D2 v1) / (D1 D2)``.  Each is
-brought to lowest terms by one gcd.  Reading a pair whose matrix is a
-scalar ``c I``, as every normal form's is, costs no elimination.
+brought to lowest terms by one gcd.  A normal form built here is read off
+with no elimination; any other map, a scalar one from outside included,
+with one :func:`det_adjugate`.
 
 Text syntax: an element ``aff([[2,0],[0,1]],[1,0])`` (matrix rows, then
 the offset vector), a point ``[5,0]``.
@@ -221,17 +222,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def scalar_of(matrix) -> int:
-    """``c`` if the matrix is ``c I`` with ``c != 0``, else 0."""
-    n = len(matrix)
-    flat = tuple(chain.from_iterable(matrix))
-    c = flat[0]
-    # with c != 0 on the diagonal, n^2 - n zeros are exactly the off-diagonal entries
-    if c and flat.count(0) == n * n - n and flat[:: n + 1].count(c) == n:
-        return c
-    return 0
-
-
 def lowest_terms(d: int, vector: Vector, matrix: Matrix = ()) -> tuple[int, Vector, Matrix]:
     """``(d, vector, matrix)`` divided by their gcd, signed so that the new ``d`` is positive."""
     g = math.gcd(d, *vector, *chain.from_iterable(matrix))
@@ -262,14 +252,11 @@ class AffineLatticeMap:
         rows = require_sequence(self.matrix, "matrix")
         matrix = tuple(tuple(require_sequence(row, "matrix row")) for row in rows)
         offset = tuple(require_sequence(self.offset, "offset"))
-        # every composition builds a map: an exact int passes the cheap test
         for row in matrix:
             for e in row:
-                if type(e) is not int:
-                    require_int(e, "matrix entry")
+                require_int(e, "matrix entry")
         for e in offset:
-            if type(e) is not int:
-                require_int(e, "offset entry")
+            require_int(e, "offset entry")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
         n = _require_square(matrix)
@@ -364,18 +351,15 @@ class AffineLattice(Instance):
         """``(d, P (x - b), P matrix)``, where ``P / d == M^-1`` for ``f = (M, b)``.
 
         So ``f^-1(x) == P (x - b) / d``, and ``f^-1 o (matrix, x)`` is the map
-        ``(P matrix, P (x - b)) / d``.  A scalar ``M == c I`` is read as
-        ``P = I`` and ``d = c``, and a map with a :class:`_ZeroOffset` with
-        no test and no subtraction; any other ``M`` costs one
-        :func:`det_adjugate`.
+        ``(P matrix, P (x - b)) / d``.  A normal form ``(D I, 0)`` built here
+        carries a :class:`_ZeroOffset` and is read as ``P = I``, ``d = D`` with
+        no test; any other map, a scalar one from outside included, costs one
+        :func:`det_adjugate`.  Every caller brings the result to lowest terms.
         """
         m = self._check_element(f).matrix
         if type(f.offset) is _ZeroOffset:
             return m[0][0], x, matrix
         shifted = tuple([a - b for a, b in zip(x, f.offset)])
-        c = scalar_of(m)
-        if c:
-            return c, shifted, matrix
         d, adj = det_adjugate(m)
         return d, mat_vec(adj, shifted), mat_mul(adj, matrix) if matrix else matrix
 

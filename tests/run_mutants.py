@@ -12,6 +12,10 @@ runner exits 1 if a mutant survives (its tests pass), if its tests do not
 run (an unknown id, a collection error, a timeout), or if a snippet no
 longer occurs exactly once, so a refactor that moves a snippet must
 re-point its entry.  The file name keeps it out of Tier-1's collection.
+
+``tests/mutants_planted.json`` holds two entries the runner must refuse:
+a no-op edit (a comment dropped), which survives, and a snippet that
+occurs nowhere, which is stale.  Run on it, the runner exits 1.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ def run_mutant(entry: dict) -> str:
         (tree / entry["file"]).write_text(source.replace(entry["old"], entry["new"]), encoding="utf-8")
         # no bytecode: a stale .pyc of the same size and second could hide the edit
         env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *entry["tests"]]
+        # plugins the suite never uses stay unloaded where installed: hypothesis alone takes about 1 s
+        plugins = ("cacheprovider", "hypothesispytest", "benchmark")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", *(f"-pno:{name}" for name in plugins), *entry["tests"]]
         try:
             done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:

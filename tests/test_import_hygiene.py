@@ -263,6 +263,20 @@ def test_dir_lists_every_public_name_without_loading_the_verifier():
     assert found == [[], True, False]
 
 
+def test_preset_names_are_served_without_loading_the_verifier():
+    found = run_child(
+        f"""
+        import json, sys
+        import pseudoquotients
+        names = pseudoquotients.PRESET_NAMES
+        loaded = {VERIFIER!r} in sys.modules
+        import pseudoquotients.verifier
+        print(json.dumps([loaded, names is pseudoquotients.verifier.PRESET_NAMES]))
+        """
+    )
+    assert found == [False, True]
+
+
 def test_the_verifier_module_and_its_names_resolve_after_a_bare_import():
     found = run_child(
         f"""
