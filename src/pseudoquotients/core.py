@@ -362,7 +362,10 @@ class Instance(ABC):
     ``action`` binds an element's constants once into an unchecked
     point -> point callable; :meth:`apply` is derived from it here, as the
     two checks followed by that callable, and the verifier's preset
-    generators are such callables.  No hook is optional.
+    generators are such callables.  No hook is optional but
+    :meth:`determines`, whose default claims nothing; an instance that
+    proves its two obligations overrides it, and the verifier then
+    certifies right cancellation on its presets without a search.
 
     An instance may also override a derived method of the calculus
     (``extend_apply``, ``extend_inverse_apply``, ``frac_apply``,
@@ -451,6 +454,24 @@ class Instance(ABC):
     def create(cls, dim: int = 1) -> Instance:
         """The instance acting on points of dimension ``dim``; most actions have none."""
         return cls()
+
+    def determines(self, points: tuple) -> bool:
+        """Whether ``points`` determine every map: two elements that agree on them are equal.
+
+        ``True`` is a claim with two obligations:
+
+        * two elements whose maps agree on ``points`` denote the same map;
+        * every element maps a set of points for which this is ``True`` to
+          another such set.
+
+        Then a word ``g`` maps the samples to a determining set, so
+        ``f1 o g == f2 o g`` on them forces ``f1 == f2``: the verifier's
+        right cancellation holds at every depth, and it skips the search.
+        ``points`` are points of this instance, such as a presentation's
+        checked samples; nothing checks them here.  The default claims
+        nothing.
+        """
+        return False
 
     def apply(self, f: Any, x: Any) -> Any:
         """Apply the map denoted by ``f`` to the point ``x``; :meth:`action` checks ``f``."""

@@ -333,6 +333,22 @@ class AffineLattice(Instance):
         matrix, offset = self._check_element(f).matrix, f.offset
         return lambda x: mat_vec_add(matrix, x, 1, offset)
 
+    def determines(self, points) -> bool:
+        """Whether ``points`` hold ``dim + 1`` affinely independent points.
+
+        Two maps ``x -> M x + b`` that agree on such points agree on their
+        affine span, all of ``Q^dim``, and a map with ``det M != 0`` keeps
+        them affinely independent.  They exist exactly when the differences
+        ``D`` (one row per point) from the first point have rank ``dim``,
+        that is when the Gram matrix ``D^T D`` is nonsingular.
+        """
+        if len(points) <= self.dim:
+            return False
+        first, dim = points[0], range(self.dim)
+        rows = [[a - b for a, b in zip(p, first)] for p in points[1:]]
+        gram = [[sum(row[i] * row[j] for row in rows) for j in dim] for i in dim]
+        return determinant(gram) != 0
+
     def ore_complete(self, f, g):
         self._check_element(f)
         self._check_element(g)

@@ -167,6 +167,13 @@ class PowerAffine(Instance):
         m, n = self._check_element(f).multiplier, f.exponent
         return lambda x: m * bounded_power(x, n, "power")
 
+    def determines(self, points) -> bool:
+        """Two distinct points ``x < y`` determine ``m x^n``: ``(y/x)^n`` fixes ``n``, then ``m``.
+
+        Every map is strictly increasing, so it keeps two points distinct.
+        """
+        return len(set(points)) >= 2
+
     def ore_complete(self, f, g):
         self._check_element(f)
         self._check_element(g)

@@ -16,8 +16,12 @@ cancellation counterexample are not proofs: ``w1 o g == w2 o f`` and
 ``f1 o g == f2 o g`` are checked on the samples only, so two maps that
 differ elsewhere can still be reported equal.  A "pass" only means "no
 violation up to the stated depth on the stated samples", and every
-report carries both.  The word order is length-first, then left-to-right
-by the declared generator order, which makes all results reproducible.
+report carries both.  One pass is exact: when the samples determine every
+word's map (:meth:`~pseudoquotients.core.Instance.determines`, as on the
+``power-affine`` and affine presets), right cancellation holds at every
+depth, and :func:`verify` reports it without a search.  The word order
+is length-first, then left-to-right by the declared generator order,
+which makes all results reproducible.
 
 Search never uses the empty word: words are semigroup words of length at
 least one, so an identity map participates only if some generator denotes
@@ -59,7 +63,7 @@ layer and letter, and past it :func:`verify` stops with a DomainError
 that names the word length it had reached.  It bounds the counted
 bytes only: ``__sizeof__`` leaves out the ints inside an affine tuple or
 a step function, so ``dyadic-steps`` at depth 9 counts 34 MB at a 62 MB
-peak RSS, and ``affine-lattice-2d`` at depth 10 33 MB at 61 MB.
+peak RSS, and the search on ``affine-lattice-2d`` at depth 10 33 MB at 61 MB.
 """
 
 from __future__ import annotations
@@ -91,9 +95,10 @@ __all__ = [
 
 Word = tuple[str, ...]
 
-# The largest run known to finish, power-affine at depth 9, counts about
-# 280 MB; the tower preset at an unbounded depth stops at word length 60
-# with a 360 MB peak, inside a 512 MB address-space limit.
+# The largest search known to finish, verify_right_cancellation on
+# power-affine at depth 9, counts about 280 MB (verify certifies that preset
+# without it); the tower preset at an unbounded depth stops at word length
+# 60 with a 360 MB peak, inside a 512 MB address-space limit.
 MAX_SEARCH_BYTES = 320 << 20
 _POINT_BYTES = 100  # per point beyond its __sizeof__: its id, and its id-dict, list and table slots
 _ENTRY_BYTES = 130  # per kept action: two tuple headers and a dict slot, beside 8 per id or letter
@@ -109,6 +114,12 @@ class Presentation:
     action need not check its input: a preset's generators are its
     instance's compiled :meth:`~pseudoquotients.core.Instance.action`
     callables, and only its samples are checked, once, when it is built.
+
+    ``determines``, if set, is a claim about the generators' maps with the
+    obligations of :meth:`~pseudoquotients.core.Instance.determines`; a
+    preset sets it to its instance's hook.  When it returns ``True`` on the
+    samples, :func:`verify` reports right cancellation as passed without
+    searching, a pass that holds at every depth.
     """
 
     generators: tuple[tuple[str, Callable[[Any], Any]], ...]
@@ -116,6 +127,7 @@ class Presentation:
     max_depth: int = 5
     label: str = "custom"
     point_text: Callable[[Any], str] = str
+    determines: Callable[[tuple], bool] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -225,7 +237,8 @@ class VerifyReport:
         return {
             "presentation": self.label,
             "depth_used": self.depth_used,
-            "bounded": True,  # "pass" always means "pass up to this bound on these samples"
+            # "pass" means "pass up to this bound on these samples", or more: see the module docs
+            "bounded": True,
             "samples": list(self.samples_text),
             "injectivity": inj,
             "ore": ore,
@@ -470,7 +483,9 @@ def verify_right_cancellation(
 
     The first counterexample in the order (total length, |f1|, |f2|, |g|,
     then word order) is returned; candidates whose sample actions already
-    agree are skipped, since they are indistinguishable here anyway.
+    agree are skipped, since they are indistinguishable here anyway.  This
+    is always the search: :func:`verify` skips it when the presentation's
+    ``determines`` holds on its samples.
     """
     search = _search or _Search(presentation)
     depth = presentation.max_depth
@@ -529,6 +544,8 @@ def verify(presentation: Presentation) -> VerifyReport:
     Ore witnesses are searched for every ordered pair of distinct
     generators in declared order; a witness for ``(f, g)`` doubles as one
     for ``(g, f)`` with its sides swapped, so each pair appears once.
+    Right cancellation passes without a search when the presentation's
+    ``determines`` holds on its samples, and is searched for otherwise.
     """
     search = _Search(presentation)
     injectivity = verify_injectivity(presentation, _search=search)
@@ -542,7 +559,13 @@ def verify(presentation: Presentation) -> VerifyReport:
                 ore.append(OreSearchResult(f, g, None, None))
             else:
                 ore.append(OreSearchResult(f, g, found[0], found[1]))
-    cancellation = verify_right_cancellation(presentation, _search=search)
+    determines = presentation.determines
+    if determines is not None and determines(presentation.sample_points):
+        # every word g maps the samples to a determining set, so no
+        # f1 o g == f2 o g on them has f1 != f2 on them, at any depth
+        cancellation = CancellationResult(True)
+    else:
+        cancellation = verify_right_cancellation(presentation, _search=search)
     validated = _revalidate(presentation, injectivity, ore, cancellation)
     return VerifyReport(
         label=presentation.label,
@@ -587,6 +610,7 @@ def presentation_from_preset(spec: Preset, label: str, max_depth: int | None = N
         max_depth=spec.depth if max_depth is None else max_depth,
         label=label,
         point_text=instance.point_text,
+        determines=instance.determines,
     )
 
 

@@ -287,6 +287,7 @@ class VerifierTwins:
         max_depth: int = 5
         label: str = "custom"
         point_text: Any = str
+        determines: Any = None
         __post_init__ = Presentation.__post_init__
 
     @dataclass(frozen=True)
