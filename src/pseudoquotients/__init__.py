@@ -9,93 +9,33 @@ verifier spot-checks the hypotheses (injectivity, common left multiples,
 right cancellation) for built-in or user-supplied presentations.
 """
 
-from .core import (
-    DomainError,
-    GroupFraction,
-    Instance,
-    OreWitness,
-    Pseudoquotient,
-    UsageError,
-    frac_inverse,
-)
-from .instances import (
-    INSTANCE_NAMES,
-    PRESET_NAMES,
-    AffineLattice,
-    AffineLatticeMap,
-    DyadicStepMap,
-    DyadicSteps,
-    PowerAffine,
-    PowerAffineMap,
-    RootValue,
-    StepFunction,
-    Tower,
-    TowerConfig,
-    TowerMap,
-    TowerPoint,
-    TowerValue,
-    create_instance,
-    default_tower_config,
-)
+# Each module's ``__all__`` is the one list of its public names; the
+# package re-exports them, as ``instances`` re-exports its actions.
+from . import core, instances
+from .core import *
+from .instances import *
 
 # The bounded verifier is loaded on first use (PEP 562), so a request that
 # never verifies does not import it; a name it serves is cached in the
-# module globals the first time it is asked for.
-_VERIFIER_NAMES = frozenset(
-    (
-        "CancellationResult",
-        "InjectivityResult",
-        "OreSearchResult",
-        "Presentation",
-        "VerifyReport",
-        "preset",
-        "presentation_from_config",
-        "search_ore_witness",
-        "verify",
-        "verify_injectivity",
-        "verify_right_cancellation",
-    )
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AffineLattice",
-    "AffineLatticeMap",
+# module globals the first time it is asked for.  ``verifier.__all__``
+# extends this tuple.
+_VERIFIER_NAMES = (
     "CancellationResult",
-    "DomainError",
-    "DyadicStepMap",
-    "DyadicSteps",
-    "GroupFraction",
-    "INSTANCE_NAMES",
     "InjectivityResult",
-    "Instance",
     "OreSearchResult",
-    "OreWitness",
-    "PRESET_NAMES",
-    "PowerAffine",
-    "PowerAffineMap",
     "Presentation",
-    "Pseudoquotient",
-    "RootValue",
-    "StepFunction",
-    "Tower",
-    "TowerConfig",
-    "TowerMap",
-    "TowerPoint",
-    "TowerValue",
-    "UsageError",
     "VerifyReport",
-    "create_instance",
-    "default_tower_config",
-    "frac_inverse",
     "preset",
     "presentation_from_config",
     "search_ore_witness",
     "verify",
     "verify_injectivity",
     "verify_right_cancellation",
-]
+)
+
+__version__ = "0.1.0"
+
+__all__ = [*core.__all__, *instances.__all__, *_VERIFIER_NAMES]
 
 
 def __getattr__(name: str):

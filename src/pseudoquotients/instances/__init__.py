@@ -2,34 +2,13 @@
 
 from __future__ import annotations
 
-from ..core import DomainError, Instance, Preset, value_text
-from .affine_lattice import AffineLattice, AffineLatticeMap, adjugate, determinant
-from .dyadic_steps import DyadicStepMap, DyadicSteps, StepFunction
-from .power_affine import PowerAffine, PowerAffineMap, RootValue
-from .tower import Tower, TowerConfig, TowerMap, TowerPoint, TowerValue, default_tower_config
+import sys
 
-__all__ = [
-    "AffineLattice",
-    "AffineLatticeMap",
-    "DyadicStepMap",
-    "DyadicSteps",
-    "INSTANCE_NAMES",
-    "PRESETS",
-    "PRESET_NAMES",
-    "PowerAffine",
-    "PowerAffineMap",
-    "RootValue",
-    "StepFunction",
-    "Tower",
-    "TowerConfig",
-    "TowerMap",
-    "TowerPoint",
-    "TowerValue",
-    "adjugate",
-    "create_instance",
-    "default_tower_config",
-    "determinant",
-]
+from ..core import DomainError, Instance, Preset, value_text
+from .affine_lattice import *
+from .dyadic_steps import *
+from .power_affine import *
+from .tower import *
 
 _REGISTRY: dict[str, type[Instance]] = {
     cls.name: cls for cls in (PowerAffine, AffineLattice, DyadicSteps, Tower)
@@ -39,6 +18,10 @@ PRESETS: dict[str, Preset] = {
     label: preset for cls in _REGISTRY.values() for label, preset in cls.presets().items()
 }
 PRESET_NAMES = tuple(PRESETS)
+
+# Each module's ``__all__`` is the one list of its public names.
+__all__ = ["INSTANCE_NAMES", "PRESETS", "PRESET_NAMES", "create_instance"]
+__all__ += (name for cls in _REGISTRY.values() for name in sys.modules[cls.__module__].__all__)
 
 
 def create_instance(name: str, *, dim: int = 1) -> Instance:

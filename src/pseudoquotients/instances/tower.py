@@ -7,13 +7,15 @@ payloads.  The acting semigroup is generated by
 * ``P_j`` -- the level-``j`` squeeze ``x -> a*x + c*j + e`` on points of
   level ``j``, leaving every other level alone.
 
-A :class:`TowerConfig` holds the integers ``s``, ``a`` (nonzero, for
-injectivity) and ``e``, by default ``1, 2, 0``; ``c = s*(1 - a)`` is
-derived, because the square ``F o P_j == P_{j+1} o F`` commutes exactly
-for that value.  With the squeezes commuting among themselves, every
-word has the normal form "squeeze powers per level, then an ascent
-power", stored in :class:`TowerMap` and multiplied by shifting the right
-factor's levels: ``(P1, n1) o (P2, n2) = (P1 * shift(P2, n1), n1 + n2)``.
+A :class:`TowerConfig` holds the integers ``s``, ``a`` and ``e``, by
+default ``1, 2, 0``; ``c = s*(1 - a)`` is derived, because the square
+``F o P_j == P_{j+1} o F`` commutes exactly for that value.  ``a = 0``
+is refused, since the squeeze would not be injective, and so are the
+squeezes of finite order, ``a = -1`` and ``a = 1`` with ``e = 0``.
+With the squeezes commuting among themselves, every word has the normal
+form "squeeze powers per level, then an ascent power", stored in
+:class:`TowerMap` and multiplied by shifting the right factor's levels:
+``(P1, n1) o (P2, n2) = (P1 * shift(P2, n1), n1 + n2)``.
 
 Element equality is equality of these normal forms.  Note that the
 normal form is finer than the action on points: a squeeze at a level the
@@ -43,12 +45,6 @@ exponents level by level; with ``first = (D1, a1)^-1 o (N1, b1)`` and
 * ``frac_apply((D, a)^-1 o (N, b), x / (E, s)) = (N↑s, b)(x) / (E↑b ⊕ D↑s, s + a)``;
 * ``frac_equal(first, second)`` holds iff ``a2 + b1 == a1 + b2`` and
   ``D2↑a1 ⊕ N1↑a2 == D1↑a2 ⊕ N2↑a1``.
-
-Fraction equality compares normal forms, which is complete only when
-distinct normal forms act differently on the completed space; squeezes
-of finite order (``a = -1``, or ``a = 1`` with ``e = 0``) break that.
-Class equivalence and canonical values follow the action and hold for
-every configuration.
 
 Text syntax: an element is a word such as ``P1^1 P3^2 F^2`` or ``F P1``,
 its letters composed in written order (a bare letter has exponent 1); a
@@ -151,6 +147,13 @@ class TowerConfig:
             require_int(getattr(self, name), name)
         if self.squeeze_mul == 0:
             raise DomainError("squeeze_mul must be nonzero, or the squeeze is not injective")
+        # the normal form keeps squeeze exponents, so a squeeze of finite order would
+        # give distinct normal forms to maps that act alike
+        if self.squeeze_mul == -1 or (self.squeeze_mul == 1 and self.squeeze_const == 0):
+            raise DomainError(
+                "squeeze_mul -1, or squeeze_mul 1 with squeeze_const 0, gives a squeeze "
+                "of finite order, and the normal form would not be faithful"
+            )
 
     @property
     def squeeze_level_coeff(self) -> int:

@@ -73,25 +73,11 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import Any, Callable
 
+from . import _VERIFIER_NAMES
 from .core import DomainError, Preset, UsageError, require_int, require_object, value_text, value_type
 from .instances import PRESET_NAMES, PRESETS
 
-__all__ = [
-    "CancellationResult",
-    "InjectivityResult",
-    "MAX_SEARCH_BYTES",
-    "OreSearchResult",
-    "PRESET_NAMES",
-    "Presentation",
-    "VerifyReport",
-    "preset",
-    "presentation_from_config",
-    "presentation_from_preset",
-    "search_ore_witness",
-    "verify",
-    "verify_injectivity",
-    "verify_right_cancellation",
-]
+__all__ = [*_VERIFIER_NAMES, "MAX_SEARCH_BYTES", "PRESET_NAMES", "presentation_from_preset"]
 
 Word = tuple[str, ...]
 

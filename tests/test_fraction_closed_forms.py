@@ -27,7 +27,7 @@ from pseudoquotients.cli import main
 CLOSED_FORMS = {
     "tower": Tower(),
     "tower-a3-e1": Tower.from_rules({"squeeze_mul": 3, "squeeze_const": 1}),
-    "tower-a-1": Tower.from_rules({"squeeze_mul": -1, "ascend_add": 2}),
+    "tower-a-2": Tower.from_rules({"squeeze_mul": -2, "ascend_add": 2}),
     "dyadic-steps": DyadicSteps(),
     "power-affine": PowerAffine(),
 }

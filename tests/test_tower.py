@@ -1,5 +1,6 @@
 """Tower instance: commuting squares, normal forms versus pointwise action."""
 
+import json
 import time
 from fractions import Fraction
 
@@ -15,11 +16,17 @@ from pseudoquotients import (
     TowerValue,
     default_tower_config,
 )
+from pseudoquotients.cli import main
 
 tw = Tower()
 
+# every accepted rule on a small grid: a = -1, and a = 1 with e = 0, have finite order
 CONFIGS = [
-    TowerConfig(s, a, e) for s in (-2, -1, 0, 1, 3) for a in (-3, -1, 1, 2, 5) for e in (-4, 0, 7)
+    TowerConfig(s, a, e)
+    for s in (-2, -1, 0, 1, 3)
+    for a in (-3, 1, 2, 5)
+    for e in (-4, 0, 7)
+    if (a, e) != (1, 0)
 ]
 
 
@@ -51,6 +58,48 @@ def test_bad_config_rejected():
             Tower.from_rules(fields)
 
 
+# the first two are the unfaithful rules that used to build: frac_equal said False for
+# fractions that act alike, as P1^2 is the identity map when a = -1, and P1 itself when
+# a = 1 and e = 0
+FINITE_ORDER = {
+    "involution-e2": {"squeeze_mul": -1, "squeeze_const": 2},
+    "identity": {"squeeze_mul": 1, "squeeze_const": 0},
+    "involution": {"squeeze_mul": -1},
+    "involution-s2": {"squeeze_mul": -1, "ascend_add": 2},
+    "identity-s-3": {"squeeze_mul": 1, "ascend_add": -3},
+}
+
+
+@pytest.mark.parametrize("fields", FINITE_ORDER.values(), ids=FINITE_ORDER)
+def test_squeezes_of_finite_order_are_refused(fields):
+    with pytest.raises(DomainError, match="finite order"):
+        TowerConfig(**fields)
+    with pytest.raises(DomainError, match="finite order"):
+        Tower.from_rules(fields)
+
+
+def test_every_accepted_squeeze_power_moves_a_point():
+    # no positive squeeze power acts as the identity, so distinct exponents are distinct maps
+    for config in CONFIGS:
+        inst = Tower(config)
+        for level in (1, 2, 5):
+            for k in (1, 2, 3):
+                f = TowerMap(((level, k),), 0)
+                assert any(inst.apply(f, TowerPoint(level, x)) != TowerPoint(level, x) for x in range(-3, 4))
+
+
+def test_verify_refuses_a_tower_rule_of_finite_order(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "tower", "tower": {"squeeze_mul": -1}}), encoding="utf-8")
+    assert main(["verify", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "domain error: squeeze_mul -1, or squeeze_mul 1 with squeeze_const 0, gives a squeeze "
+        "of finite order, and the normal form would not be faithful\n"
+    )
+
+
 def test_from_rules_checks_the_given_level_coefficient():
     assert Tower.from_rules({"ascend_add": 2, "squeeze_mul": 3}).config == TowerConfig(2, 3, 0)
     assert Tower.from_rules({"squeeze_level_coeff": -1}).config == default_tower_config()
@@ -78,7 +127,7 @@ def iterate_rational(config, f, level, payload):
 
 
 def test_closed_forms_match_iteration(rng):
-    # a = 1 and a < 0 included: translations, and involutions for a = -1
+    # a = 1 and a < 0 included: translations for a = 1
     for config in CONFIGS:
         inst = Tower(config)
         for _ in range(40):
@@ -113,9 +162,9 @@ def test_squeeze_powers_beyond_the_size_limit_are_refused():
         tw.apply(f, TowerPoint(1, 2))
     with pytest.raises(DomainError):
         tw.canonical_value(Pseudoquotient(TowerPoint(1, 2), f))
-    # for a = -1 and a = 1 the factor a^k stays small, so any power is computed
-    involution = Tower(TowerConfig(squeeze_mul=-1, squeeze_const=3))
-    assert involution.apply(f, TowerPoint(1, 2)) == TowerPoint(1, 2)
+    # a = -1 is refused; for a = 1 the factor a^k stays small, so any power is computed
+    with pytest.raises(DomainError):
+        TowerConfig(squeeze_mul=-1, squeeze_const=3)
     translation = Tower(TowerConfig(squeeze_mul=1, squeeze_const=3))
     assert translation.apply(f, TowerPoint(1, 2)) == TowerPoint(1, 2 + 3 * 10**12)
 
