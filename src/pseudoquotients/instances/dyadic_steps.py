@@ -211,6 +211,19 @@ class DyadicSteps(Instance):
         shift, n = self._check_element(f).shift, f.halvings
         return lambda x: _moved(x, shift, n)
 
+    def determines(self, points) -> bool:
+        """Whether some point is nonzero: one nonzero function determines ``t^m d^n``.
+
+        ``t^m d^n`` sends a nonzero function whose support ends are
+        ``L < R`` to one whose ends are ``2**n * L + m < 2**n * R + m``, so
+        one nonzero image fixes ``n`` by its length and then ``m`` by its
+        left end, and the normal form is unique.  Every map scales values
+        by ``2**-n``, so it sends a nonzero function to a nonzero one.  The
+        zero function is fixed by every map, so zeros alone determine
+        nothing; the preset's samples hold ``[1/2]``.
+        """
+        return any(x.numerators for x in points)
+
     def ore_complete(self, f, g):
         fs, fn, gs, gn = _witness(self._check_element(f), self._check_element(g))
         return _ore_witness(_map(fs, fn), _map(gs, gn))

@@ -53,12 +53,8 @@ __all__ = ["PowerAffine", "PowerAffineMap", "RootValue"]
 
 def _nth_root_exact(value: int, degree: int) -> int | None:
     """Exact integer ``degree``-th root of ``value >= 0``, or None."""
-    if value < 0:
-        return None
     if value in (0, 1) or degree == 1:
         return value
-    if value.bit_length() <= degree:
-        return None  # 2**degree > value already, so no integer >= 2 is its root
     lo, hi = 0, 1
     while hi**degree < value:
         hi *= 2

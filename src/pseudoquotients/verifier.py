@@ -18,10 +18,10 @@ differ elsewhere can still be reported equal.  A "pass" only means "no
 violation up to the stated depth on the stated samples", and every
 report carries both.  One pass is exact: when the samples determine every
 word's map (:meth:`~pseudoquotients.core.Instance.determines`, as on the
-``power-affine`` and affine presets), right cancellation holds at every
-depth, and :func:`verify` reports it without a search.  The word order
-is length-first, then left-to-right by the declared generator order,
-which makes all results reproducible.
+``power-affine``, affine and ``dyadic-steps`` presets), right cancellation
+holds at every depth, and :func:`verify` reports it without a search.
+The word order is length-first, then left-to-right by the declared
+generator order, which makes all results reproducible.
 
 Search never uses the empty word: words are semigroup words of length at
 least one, so an identity map participates only if some generator denotes
@@ -62,8 +62,9 @@ hold their ids.  It is charged once per new point and once per finished
 layer and letter, and past it :func:`verify` stops with a DomainError
 that names the word length it had reached.  It bounds the counted
 bytes only: ``__sizeof__`` leaves out the ints inside an affine tuple or
-a step function, so ``dyadic-steps`` at depth 9 counts 34 MB at a 62 MB
-peak RSS, and the search on ``affine-lattice-2d`` at depth 10 33 MB at 61 MB.
+a step function, so :func:`verify_right_cancellation` counts 34 MB at a
+62 MB peak RSS on ``dyadic-steps`` at depth 9, and 33 MB at 61 MB on
+``affine-lattice-2d`` at depth 10.
 """
 
 from __future__ import annotations
@@ -176,25 +177,7 @@ class VerifyReport:
     cancellation: CancellationResult
     samples_text: tuple[str, ...]
     validated: bool
-    point_text: Callable[[Any], str] = str
-
-    # point_text only prints the points, so it is no part of the report's value:
-    # ==, hash and repr read the other fields
-    def _value(self) -> tuple:
-        return (self.label, self.depth_used, self.injectivity, self.ore, self.cancellation,
-                self.samples_text, self.validated)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._value() == other._value()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._value())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._value()))
-        return f"{self.__class__.__qualname__}({fields})"
+    injectivity_text: tuple[str, ...] = ()  # a failed injectivity's left and right points
 
     @property
     def has_counterexample(self) -> bool:
@@ -204,8 +187,7 @@ class VerifyReport:
         inj: dict[str, Any] = {"status": "pass" if self.injectivity.ok else "fail"}
         if not self.injectivity.ok:
             inj["word"] = list(self.injectivity.word)
-            inj["left"] = self.point_text(self.injectivity.left)
-            inj["right"] = self.point_text(self.injectivity.right)
+            inj["left"], inj["right"] = self.injectivity_text
         ore = []
         for r in self.ore:
             entry: dict[str, Any] = {"f": list(r.f), "g": list(r.g)}
@@ -540,11 +522,8 @@ def verify(presentation: Presentation) -> VerifyReport:
     for i, f_name in enumerate(names):
         for g_name in names[i + 1 :]:
             f, g = (f_name,), (g_name,)
-            found = search_ore_witness(presentation, f, g, _search=search)
-            if found is None:
-                ore.append(OreSearchResult(f, g, None, None))
-            else:
-                ore.append(OreSearchResult(f, g, found[0], found[1]))
+            f_prime, g_prime = search_ore_witness(presentation, f, g, _search=search) or (None, None)
+            ore.append(OreSearchResult(f, g, f_prime, g_prime))
     determines = presentation.determines
     if determines is not None and determines(presentation.sample_points):
         # every word g maps the samples to a determining set, so no
@@ -553,15 +532,16 @@ def verify(presentation: Presentation) -> VerifyReport:
     else:
         cancellation = verify_right_cancellation(presentation, _search=search)
     validated = _revalidate(presentation, injectivity, ore, cancellation)
+    text = presentation.point_text
     return VerifyReport(
         label=presentation.label,
         depth_used=presentation.max_depth,
         injectivity=injectivity,
         ore=tuple(ore),
         cancellation=cancellation,
-        samples_text=tuple(presentation.point_text(p) for p in presentation.sample_points),
+        samples_text=tuple(map(text, presentation.sample_points)),
         validated=validated,
-        point_text=presentation.point_text,
+        injectivity_text=() if injectivity.ok else (text(injectivity.left), text(injectivity.right)),
     )
 
 

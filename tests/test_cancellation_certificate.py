@@ -10,9 +10,10 @@ to one, so ``f1 o g == f2 o g`` on the samples forces ``f1 == f2``.
   too, and ``verify`` gives the report of the same presentation rebuilt
   with ``determines=None``, which searches.
 * Each override of ``Instance.determines`` agrees with an oracle on seeded
-  random point sets, collinear, repeated and single points included (a
-  ``Fraction`` elimination rank for affine maps, a count of distinct
-  points for power-affine), and keeps its answer under every element
+  random point sets, collinear, repeated, single and zero points included
+  (a ``Fraction`` elimination rank for affine maps, a count of distinct
+  points for power-affine, a nonzero L1 norm and the images under a grid
+  of maps for dyadic-steps), and keeps its answer under every element
   drawn, the hook's second obligation.
 * Every other presentation still runs the search, and its report is the
   committed one.
@@ -26,7 +27,16 @@ from pathlib import Path
 
 import pytest
 
-from pseudoquotients import AffineLattice, PowerAffine, preset, presentation_from_config, verifier
+from pseudoquotients import (
+    AffineLattice,
+    DyadicStepMap,
+    DyadicSteps,
+    PowerAffine,
+    StepFunction,
+    preset,
+    presentation_from_config,
+    verifier,
+)
 from pseudoquotients.core import Preset
 from pseudoquotients.instances import PRESETS
 from pseudoquotients.verifier import (
@@ -82,7 +92,9 @@ def affine_rank(points) -> int:
 # ----------------------------------------------------------------------
 
 CERTIFIED = [
-    (name, depth) for name in ("power-affine", "affine-lattice", "affine-lattice-2d") for depth in range(1, 7)
+    (name, depth)
+    for name in ("power-affine", "affine-lattice", "affine-lattice-2d", "dyadic-steps")
+    for depth in range(1, 7)
 ]
 
 
@@ -186,6 +198,28 @@ def test_power_affine_determines_agrees_with_its_oracle():
     assert 30 < sum(answers) < 270  # both answers are drawn
 
 
+def test_dyadic_determines_agrees_with_its_oracle():
+    instance, rng = DyadicSteps(), random.Random(0)
+    grid = [DyadicStepMap(m, n) for m in range(4) for n in range(3)]
+    zero = StepFunction(())
+    answers = []
+    for _ in range(300):
+        # half the points are the zero function, so sets of zeros alone are frequent
+        size = rng.randint(1, 3)
+        points = tuple(instance.random_point(rng) if rng.random() < 0.5 else zero for _ in range(size))
+        answer = instance.determines(points)
+        assert answer is any(x.l1_norm() > 0 for x in points), points
+        # the maps of the grid are told apart by their images exactly when the points determine
+        images = {tuple(map(instance.action(f), points)) for f in grid}
+        assert (len(images) == len(grid)) is answer, points
+        answers.append(answer)
+        for _ in range(3):
+            image = tuple(map(instance.action(instance.random_element(rng)), points))
+            assert instance.determines(image) is answer, (points, image)
+    assert instance.determines(()) is False
+    assert 30 < sum(answers) < 270  # both answers are drawn
+
+
 # ----------------------------------------------------------------------
 # the presentations that keep the search
 # ----------------------------------------------------------------------
@@ -237,7 +271,6 @@ COLLINEAR = ((0, 0), (1, 1), (-1, -1), (3, 3))
 # each presentation, and its committed report (None: the report of the search)
 FALLBACK = {
     "tower": (lambda: preset("tower", 5), lambda: _golden_verify("tower@5")),
-    "dyadic-steps": (lambda: preset("dyadic-steps", 4), lambda: _golden_verify("dyadic-steps@4")),
     "tower-custom-rules": (
         lambda: _config("tower_custom_rules.json"),
         lambda: _golden_cli(["verify", "--config", "fixtures/tower_custom_rules.json"]),

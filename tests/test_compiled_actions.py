@@ -44,7 +44,11 @@ def checked_generators(config: dict) -> tuple:
 
 
 def interned_points(presentation, monkeypatch) -> list:
-    """Every point that ``verify(presentation)`` interns."""
+    """Every point that ``verify(presentation)`` and the cancellation search intern.
+
+    ``verify`` skips the search where the samples determine every map, so
+    it is run on the same ``_Search`` too.
+    """
     searches = []
 
     class Recording(verifier._Search):
@@ -55,6 +59,7 @@ def interned_points(presentation, monkeypatch) -> list:
     monkeypatch.setattr(verifier, "_Search", Recording)
     verify(presentation)
     (search,) = searches
+    verifier.verify_right_cancellation(presentation, _search=search)
     return search._points
 
 

@@ -241,6 +241,13 @@ def test_integral_and_norm_frozen_examples():
     assert dy.l1_norm(Pseudoquotient(StepFunction((-2, 1)), DyadicStepMap(3, 2))) == 3
 
 
+@pytest.mark.parametrize("measure, verb", [("integral", "integrate"), ("l1_norm", "take the norm of")])
+def test_integral_and_norm_refuse_what_is_neither_a_function_nor_a_class(measure, verb):
+    for value in (3, Fraction(1, 2), DyadicStepMap(1, 0), (1, 2), None):
+        with pytest.raises(UsageError, match=f"^cannot {verb} {type(value).__name__}$"):
+            getattr(dy, measure)(value)
+
+
 def test_integral_and_norm_invariance(rng):
     for _ in range(200):
         p = dy.random_pseudoquotient(rng)

@@ -102,6 +102,13 @@ def test_root_value_equality_constructed(rng):
         assert hash(RootValue(base**power, index * power)) == hash(RootValue(base, index))
 
 
+def test_root_value_refuses_a_negative_radicand():
+    for radicand in (-1, Fraction(-1, 2), -(10**30)):
+        with pytest.raises(DomainError, match="^radicand must be nonnegative$"):
+            RootValue(radicand, 2)
+    assert RootValue(0, 2) == RootValue(0, 1)
+
+
 def test_root_value_inequality():
     assert RootValue(Fraction(2), 1) != RootValue(Fraction(3), 1)
     assert RootValue(Fraction(2), 2) != RootValue(Fraction(2), 3)

@@ -206,6 +206,16 @@ def test_unchecked_needs_a_slotted_dataclass():
         unchecked(_Unslotted)
 
 
+class _WeaklyReferenced:
+    __slots__ = ("level", "__weakref__")
+
+
+def test_unchecked_needs_every_name_of_its_slots_to_be_a_field():
+    # "__weakref__" in __slots__ makes a getset descriptor, which no builder can write
+    with pytest.raises(TypeError, match=r"^_WeaklyReferenced\.__weakref__ is not a slot: unchecked needs slots=True$"):
+        unchecked(_WeaklyReferenced)
+
+
 def test_unchecked_builds_a_slotted_dataclass():
     # an instance module outside the package may still declare its values as dataclasses
     build = unchecked(_Two)

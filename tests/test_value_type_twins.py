@@ -16,10 +16,9 @@ slotted; each now agrees with such a twin on the reports of every preset
 and of configs that fail injectivity and cancellation: ``==`` and
 ``hash``, ``repr``, construction (the ``DomainError``s of
 ``Presentation.__post_init__`` included) and the refusal of assignment and
-deletion.  ``VerifyReport.point_text`` stays out of ``==``, ``hash`` and
-``repr``, as ``field(compare=False, repr=False)`` kept it, and
-``dataclasses.replace`` still copies a ``Presentation`` through its
-``__init__``.
+deletion.  A report holds the texts it prints, so its injectivity texts
+are part of its value, and ``dataclasses.replace`` still copies a
+``Presentation`` through its ``__init__``.
 """
 
 import copy
@@ -27,7 +26,7 @@ import copyreg
 import dataclasses
 import json
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -320,7 +319,7 @@ class VerifierTwins:
         cancellation: Any
         samples_text: Any
         validated: bool
-        point_text: Any = field(default=str, repr=False, compare=False)
+        injectivity_text: Any = ()
 
 
 RECORDS = (Presentation, InjectivityResult, OreSearchResult, CancellationResult, VerifyReport)
@@ -400,15 +399,18 @@ def test_verifier_records_agree_with_their_twins_on_equality_and_hash(records):
                 assert (value != other) is (twin != record_twin(other))
 
 
-def test_the_point_text_of_a_report_is_no_part_of_its_value(records):
-    for report in (record for record in records if type(record) is VerifyReport):
-        *rest, point_text = (getattr(report, name) for name in VerifyReport.__slots__)
-        relabelled = VerifyReport(*rest, point_text=lambda point: "?")
+def test_the_injectivity_texts_of_a_report_are_part_of_its_value(records):
+    reports = [record for record in records if type(record) is VerifyReport]
+    assert {report.injectivity.ok for report in reports} == {True, False}
+    for report in reports:
+        *rest, texts = (getattr(report, name) for name in VerifyReport.__slots__)
+        printed = report.to_json()["injectivity"]
+        assert texts == (() if report.injectivity.ok else (printed["left"], printed["right"]))
+        relabelled = VerifyReport(*rest, injectivity_text=("?", "?"))
         twin, twin_relabelled = record_twin(report), record_twin(relabelled)
-        assert relabelled == report and hash(relabelled) == hash(report)
-        assert (twin_relabelled == twin) is True and hash(twin_relabelled) == hash(twin)
-        assert repr(relabelled) == repr(report) == plain_repr(twin) == plain_repr(twin_relabelled)
-        assert "point_text" not in repr(report)
+        assert relabelled != report and (twin_relabelled != twin) is True
+        assert repr(relabelled) == plain_repr(twin_relabelled)
+        assert repr(relabelled).endswith(", injectivity_text=('?', '?'))")
         assert relabelled.to_json()["samples"] == report.to_json()["samples"]
 
 

@@ -34,6 +34,7 @@ from pseudoquotients import (
     TowerValue,
     frac_inverse,
 )
+from pseudoquotients.core import value_type
 
 VALUE_TYPES = (
     Pseudoquotient,
@@ -97,6 +98,15 @@ def test_the_samples_cover_every_value_type(rng):
 @pytest.mark.parametrize("value_type", VALUE_TYPES, ids=lambda t: t.__name__)
 def test_value_types_hold_their_fields_in_slots(value_type):
     assert value_type.__slots__ == tuple(value_type.__annotations__)
+
+
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    class Misordered:
+        level: int = 0
+        payload: int
+
+    with pytest.raises(TypeError, match="^Misordered: a field without a default follows one with a default$"):
+        value_type(Misordered)
 
 
 def test_values_round_trip_through_pickle_and_deepcopy(rng):

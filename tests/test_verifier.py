@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 
 from pseudoquotients import (
+    CancellationResult,
     DomainError,
     DyadicStepMap,
     DyadicSteps,
+    InjectivityResult,
+    OreSearchResult,
     Presentation,
     UsageError,
     preset,
@@ -87,7 +90,8 @@ def test_injectivity_failure_renders_in_report():
     payload = report.to_json()
     assert payload["injectivity"]["status"] == "fail"
     assert payload["injectivity"]["word"] == ["zero"]
-    assert {payload["injectivity"]["left"], payload["injectivity"]["right"]} == {"1", "2"}
+    # the first sample the word sends to the point, then the other
+    assert (payload["injectivity"]["left"], payload["injectivity"]["right"]) == ("1", "2")
     json.dumps(payload)  # fully serializable
 
 
@@ -260,6 +264,40 @@ def test_report_json_shape():
 
 
 # ----------------------------------------------------------------------
+# re-validation of forged results
+# ----------------------------------------------------------------------
+
+# z sends every point to 0, s adds one and d doubles; the samples are 1 and 2
+GENUINE = {
+    "injectivity": InjectivityResult(False, ("z",), 1, 2),
+    "ore": (OreSearchResult(("s",), ("d",), ("s", "s"), ("d",)),),  # s s d == d s
+    "cancellation": CancellationResult(False, ("d",), ("z",), ("z",)),  # d z == z z, d != z
+}
+FORGED = {
+    "injectivity-one-point": {"injectivity": InjectivityResult(False, ("z",), 1, 1)},
+    "injectivity-kept-apart": {"injectivity": InjectivityResult(False, ("s",), 1, 2)},
+    "ore-sides-differ": {"ore": (OreSearchResult(("s",), ("d",), ("s",), ("s",)),)},
+    "cancellation-equal-words": {"cancellation": CancellationResult(False, ("s",), ("s",), ("d",))},
+    "cancellation-images-differ": {"cancellation": CancellationResult(False, ("s",), ("d",), ("s",))},
+}
+
+
+def _revalidated(injectivity=InjectivityResult(True), ore=(), cancellation=CancellationResult(True)) -> bool:
+    generators = (("z", lambda x: 0), ("s", lambda x: x + 1), ("d", lambda x: 2 * x))
+    return verifier._revalidate(Presentation(generators, (1, 2), 2), injectivity, ore, cancellation)
+
+
+def test_revalidation_accepts_genuine_results():
+    assert _revalidated() is True
+    assert _revalidated(**GENUINE) is True
+
+
+@pytest.mark.parametrize("case", FORGED)
+def test_revalidation_refuses_each_forged_result(case):
+    assert _revalidated(**{**GENUINE, **FORGED[case]}) is False
+
+
+# ----------------------------------------------------------------------
 # the shape of the cancellation search
 # ----------------------------------------------------------------------
 
@@ -287,12 +325,15 @@ def _ore_bases(search):
 
 def test_cancellation_builds_one_union_base_per_g_length(monkeypatch):
     bases, searches = _layer_bases(monkeypatch)
-    report = verify(preset("affine-lattice-2d", 6))
+    p = preset("affine-lattice-2d", 6)
+    # verify passes this preset by certificate, so the search runs on its own
+    search = verifier._Search(p)
     # a base that splits through the depth holds a counterexample, so a pass has none
-    assert report.cancellation.ok
-    (search,) = searches
-    # the samples, the Ore bases, and one union base for each length of g
-    assert len(bases) <= 1 + len(_ore_bases(search)) + 6
+    assert verify_right_cancellation(p, _search=search).ok
+    assert searches == [search]
+    # the samples, and one union base for each length of g
+    assert search.samples in bases
+    assert len(bases) == 1 + 6
     # against one base for each of the 78 distinct actions of g on the samples
     images = set().union(*(search.layer(search.samples, n) for n in range(1, 7)))
     assert len(images) == 78

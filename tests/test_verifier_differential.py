@@ -184,15 +184,16 @@ def oracle_verify(presentation: Presentation) -> VerifyReport:
                 ore.append(OreSearchResult(f, g, found[0], found[1]))
     cancellation = verify_right_cancellation(presentation)
     validated = _revalidate(presentation, injectivity, ore, cancellation)
+    text = presentation.point_text
     return VerifyReport(
         label=presentation.label,
         depth_used=presentation.max_depth,
         injectivity=injectivity,
         ore=tuple(ore),
         cancellation=cancellation,
-        samples_text=tuple(presentation.point_text(p) for p in presentation.sample_points),
+        samples_text=tuple(text(p) for p in presentation.sample_points),
         validated=validated,
-        point_text=presentation.point_text,
+        injectivity_text=() if injectivity.ok else (text(injectivity.left), text(injectivity.right)),
     )
 
 
