@@ -52,8 +52,8 @@ __all__ = ["PowerAffine", "PowerAffineMap", "RootValue"]
 
 
 def _nth_root_exact(value: int, degree: int) -> int | None:
-    """Exact integer ``degree``-th root of ``value >= 0``, or None."""
-    if value in (0, 1) or degree == 1:
+    """Exact integer ``degree``-th root of ``value >= 0``, for ``degree >= 2``, or None."""
+    if value in (0, 1):
         return value
     lo, hi = 0, 1
     while hi**degree < value:

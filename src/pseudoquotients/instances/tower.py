@@ -66,6 +66,7 @@ from ..core import (
     Preset,
     Pseudoquotient,
     bounded_power,
+    int_text,
     require_int,
     require_object,
     require_rational,
@@ -355,5 +356,5 @@ class Tower(Instance):
         c = config.squeeze_level_coeff
         coeff = rules.get("squeeze_level_coeff", c)
         if require_int(coeff, "squeeze_level_coeff") != c:
-            raise DomainError(f"squeeze_level_coeff must equal s*(1 - a) = {c}")
+            raise DomainError(f"squeeze_level_coeff must equal s*(1 - a) = {int_text(c)}")
         return cls(config)

@@ -12,13 +12,15 @@ input, so a :class:`ParseError` raised anywhere inside ``pq(...)`` or
 ``frac(...)`` reports its position in the complete argument.  Rational
 numbers are written ``p/q`` (or a bare integer); no floats anywhere.
 
-The list readers (:func:`read_int_list`, :func:`read_int_lists`,
-:func:`read_rational_list`) accept a well-formed list with one compiled
-pattern and read its numbers with one ``findall``.  Text the pattern
-refuses goes to the scanner (:func:`parse_bracketed` with
-:func:`parse_int` or :func:`parse_rational`), which explains the error:
-it is the only path that raises, and it gives the value whenever the
-pattern does.
+One function splits every bracketed form: :func:`parse_bracketed` checks
+the brackets, then walks the inside once, splitting at the separators
+outside inner brackets.  Lists, tower points ``(level, payload)`` and,
+through :func:`split_pair`, ``pq(...)``, ``frac(...)`` and ``aff(...)``
+all go through it.  The list readers (:func:`read_int_list`,
+:func:`read_int_lists`, :func:`read_rational_list`) accept a well-formed
+list with one compiled pattern and one ``findall``; the text it refuses
+goes to :func:`parse_bracketed` with :func:`parse_int` or
+:func:`parse_rational`, the only path that raises.
 """
 
 from __future__ import annotations
@@ -54,27 +56,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
-
-
-def split_top_level(text: str, separator: str, offset: int = 0) -> list[tuple[str, int]]:
-    """Split at separators outside brackets; return pieces with their offsets."""
-    pieces = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets", offset + i)
-        elif ch == separator and depth == 0:
-            pieces.append((text[start:i], offset + start))
-            start = i + 1
-    if depth != 0:
-        raise ParseError("unbalanced brackets", offset + len(text))
-    pieces.append((text[start:], offset + start))
-    return pieces
 
 
 def lead_offset(text: str, offset: int) -> int:
@@ -127,32 +108,41 @@ def read_rational_list(text: str, offset: int) -> tuple[Fraction, ...]:
     return tuple(parse_rational(e, e_start) for e, e_start in parse_bracketed(text, offset))
 
 
-def unwrap(text: str, offset: int, opening: str, closing: str, expected: str) -> tuple[str, int]:
-    """Peel ``opening ... closing`` off ``text``; return the inside with its offset."""
-    stripped = text.strip()
-    start = lead_offset(text, offset)
-    if not stripped.startswith(opening) or not stripped.endswith(closing):
-        raise ParseError(f"expected {expected}", start)
-    return stripped[len(opening) : -len(closing)], start + len(opening)
-
-
-def split_pair(
-    text: str, offset: int, head: str, separator: str, message: str
-) -> list[tuple[str, int]]:
+def split_pair(text: str, offset: int, head: str, separator: str, message: str) -> list[tuple[str, int]]:
     """Split ``head(a <separator> b)`` into its two pieces with their offsets, else ``message``."""
-    inside, start = unwrap(text, offset, f"{head}(", ")", f"{head}(...)")
-    pieces = split_top_level(inside, separator, start)
+    pieces = parse_bracketed(text, offset, (f"{head}(", ")"), f"{head}(...)", separator)
     if len(pieces) != 2:
-        raise ParseError(message, start)
+        raise ParseError(message, lead_offset(text, offset) + len(head) + 1)
     return pieces
 
 
 def parse_bracketed(
-    text: str, offset: int, brackets: str = "[]", expected: str = "a [...] list"
+    text: str, offset: int, brackets: str | tuple[str, str] = "[]",
+    expected: str = "a [...] list", separator: str = ",",
 ) -> list[tuple[str, int]]:
-    """Split ``[a, b, ...]``, or another pair of ``brackets``, into entries with their offsets."""
-    inside, start = unwrap(text, offset, brackets[0], brackets[1], expected)
-    return split_top_level(inside, ",", start) if inside.strip() else []
+    """Split ``[a, b, ...]``, or another ``(opening, closing)`` pair, into pieces with their offsets."""
+    opening, closing = brackets
+    stripped, start = text.strip(), lead_offset(text, offset)
+    if not stripped.startswith(opening) or not stripped.endswith(closing):
+        raise ParseError(f"expected {expected}", start)
+    inside, start = stripped[len(opening) : -len(closing)], start + len(opening)
+    if not inside.strip():
+        return []
+    pieces, depth, begin = [], 0, 0
+    for i, ch in enumerate(inside):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced brackets", start + i)
+        elif ch == separator and depth == 0:
+            pieces.append((inside[begin:i], start + begin))
+            begin = i + 1
+    if depth != 0:
+        raise ParseError("unbalanced brackets", start + len(inside))
+    pieces.append((inside[begin:], start + begin))
+    return pieces
 
 
 def word_letters(text: str, offset: int, letter: re.Pattern, word: str, letters: str):

@@ -127,23 +127,6 @@ def test_a_random_affine_presentation_passes_the_search_and_reports_as_it(seed, 
     _same_report_without_the_search(p, searches)
 
 
-def test_the_search_on_a_certified_preset_builds_one_union_base_per_g_length():
-    # verify no longer searches this preset, so the search's own shape is checked here
-    bases = set()
-
-    class Recording(verifier._Search):
-        def layer(self, base, length):
-            bases.add(base)
-            return super().layer(base, length)
-
-    p = preset("affine-lattice-2d", 6)
-    search = Recording(p)
-    assert verify_right_cancellation(p, _search=search).ok
-    # the samples, and one union base for each length of g
-    assert search.samples in bases
-    assert len(bases) <= 1 + 6
-
-
 # ----------------------------------------------------------------------
 # the hook against its oracle
 # ----------------------------------------------------------------------

@@ -18,7 +18,8 @@ from pseudoquotients import (
     create_instance,
     syntax,
 )
-from pseudoquotients.syntax import ParseError
+from pseudoquotients.cli import main
+from pseudoquotients.syntax import ParseError, read_int_list, read_int_lists
 
 
 # The forms keyed by an instance's public name, as the tests below read them:
@@ -172,6 +173,32 @@ def test_aff_takes_exactly_two_top_level_pieces(text, offset, position):
         AffineLattice(1).parse_element(text, offset)
     assert str(excinfo.value) == f"aff takes a matrix and an offset vector (at offset {position})"
     assert excinfo.value.position == position
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (["normalize", "--instance", "affine-lattice", "pq([1,2;aff([[1]],[0]))"], 22),
+        (["normalize", "--instance", "affine-lattice", "pq([1]];aff([[1]],[0]))"], 6),
+        (["normalize", "--instance", "tower", "pq((1,2;P1)"], 10),
+        (["normalize", "--instance", "dyadic-steps", "pq([1,2]];t)"], 8),
+        (["apply", "--instance", "affine-lattice", "aff([[1]],[0]))", "pq([1];aff([[1]],[0]))"], 13),
+    ],
+)
+def test_unbalanced_brackets_exit_2_at_their_offset(capsys, argv, position):
+    # an unopened closing bracket is refused where it stands; an unclosed opening one at the end
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"syntax error: unbalanced brackets (at offset {position})\n"
+
+
+@pytest.mark.parametrize(
+    "read, text, position",
+    [(read_int_list, "[1]]", 2), (read_int_lists, "[[1]", 3), (read_int_lists, " [[1], [2]]] ", 10)],
+)
+def test_list_fall_back_refuses_unbalanced_brackets(read, text, position):
+    with pytest.raises(ParseError) as excinfo:
+        read(text, 0)
+    assert str(excinfo.value) == f"unbalanced brackets (at offset {position})"
 
 
 def test_round_trips(rng):

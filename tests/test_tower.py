@@ -1,6 +1,7 @@
 """Tower instance: commuting squares, normal forms versus pointwise action."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 
 from pseudoquotients import (
     DomainError,
+    GroupFraction,
+    Instance,
     Pseudoquotient,
     Tower,
     TowerConfig,
@@ -106,6 +109,45 @@ def test_from_rules_checks_the_given_level_coefficient():
     for c in (5, "-1", -1.0, None):
         with pytest.raises(DomainError):
             Tower.from_rules({"squeeze_level_coeff": c})
+
+
+def test_from_rules_names_a_huge_level_coefficient_by_its_size():
+    # an s*(1 - a) of over 4,300 digits has no decimal text in CPython: the message names its size
+    with pytest.raises(DomainError) as excinfo:
+        Tower.from_rules({"squeeze_mul": 10**4999, "squeeze_level_coeff": 0})
+    message = "squeeze_level_coeff must equal s*(1 - a) = a negative integer of 16607 bits"
+    assert str(excinfo.value) == message
+
+
+def test_fraction_equality_is_faithful_on_random_rules():
+    # seeded random rules, skipping the ones TowerConfig refuses: the closed forms equal the
+    # Ore route, a fraction equals itself with h multiplied onto both sides, and fractions
+    # that frac_equal calls equal move every sampled class alike
+    rng = random.Random(8)
+    rules = 0
+    while rules < 200:
+        fields = {name: rng.randint(-4, 4) for name in ("ascend_add", "squeeze_mul", "squeeze_const")}
+        try:
+            inst = Tower.from_rules(fields)
+        except DomainError:
+            continue
+        rules += 1
+        classes = [inst.random_pseudoquotient(rng) for _ in range(12)]
+        for _ in range(20):
+            first, second = inst.random_fraction(rng), inst.random_fraction(rng)
+            assert inst.frac_compose(first, second) == Instance.frac_compose(inst, first, second)
+            p = inst.random_pseudoquotient(rng)
+            assert inst.frac_apply(first, p) == Instance.frac_apply(inst, first, p)
+            h = inst.random_element(rng)
+            scaled = GroupFraction(inst.compose(h, first.den), inst.compose(h, first.num))
+            for other in (second, scaled):
+                equal = inst.frac_equal(first, other)
+                assert equal is Instance.frac_equal(inst, first, other)
+                if equal:
+                    for q in classes:
+                        left, right = inst.frac_apply(first, q), inst.frac_apply(other, q)
+                        assert inst.canonical_value(left) == inst.canonical_value(right), fields
+            assert inst.frac_equal(first, scaled) is True
 
 
 def iterate(config, f, pt):
