@@ -504,7 +504,7 @@ class Instance(ABC):
         right cancellation makes the answer independent of which witness
         is used.
         """
-        if p == q:  # pure optimization, observably equivalent
+        if p == q:  # equal classes skip the witness and two applies, and so their input checks
             return True
         w = self.ore_complete(p.denominator, q.denominator)
         return self.apply(w.f_prime, q.numerator) == self.apply(w.g_prime, p.numerator)
@@ -573,7 +573,7 @@ class Instance(ABC):
         ``v o second.num`` as elements; completeness rests on right
         cancellation and on element equality being faithful.
         """
-        if first == second:  # pure optimization, observably equivalent
+        if first == second:  # equal fractions skip the witness and two composes, and so their input checks
             return True
         w = self.ore_complete(second.den, first.den)
         return self.compose(w.f_prime, first.num) == self.compose(w.g_prime, second.num)

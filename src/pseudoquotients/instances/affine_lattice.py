@@ -58,6 +58,7 @@ from ..core import (
     Preset,
     Pseudoquotient,
     UsageError,
+    int_text,
     require_int,
     require_sequence,
     unchecked,
@@ -310,7 +311,7 @@ class AffineLattice(Instance):
         if not isinstance(f, AffineLatticeMap):
             raise UsageError(f"expected AffineLatticeMap, got {type(f).__name__}")
         if len(f.offset) != self.dim:
-            raise UsageError(f"map has dimension {len(f.offset)}, instance has {self.dim}")
+            raise UsageError(f"map has dimension {len(f.offset)}, instance has {int_text(self.dim)}")
         return f
 
     def _check_point(self, x) -> Vector:
@@ -318,7 +319,7 @@ class AffineLattice(Instance):
             # repr(x), except that long integers are named by their size
             shown = ", ".join(map(value_text, x))
             shown = f"({shown},)" if len(x) == 1 else f"({shown})"
-            raise UsageError(f"expected an integer vector of length {self.dim}, got {shown}")
+            raise UsageError(f"expected an integer vector of length {int_text(self.dim)}, got {shown}")
         return x
 
     def compose(self, f, g):

@@ -253,8 +253,6 @@ class DyadicSteps(Instance):
 
     def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
         """Whether ``f' N1 == g' N2`` for the witness ``f' D2 == g' D1``."""
-        if first == second:  # pure optimization, observably equivalent
-            return True
         d2, d1 = self._check_element(second.den), self._check_element(first.den)
         fs, fn, gs, gn = _witness(d2, d1)
         n1, n2 = self._check_element(first.num), self._check_element(second.num)

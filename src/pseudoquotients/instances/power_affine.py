@@ -213,7 +213,7 @@ class PowerAffine(Instance):
 
     def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
         """Whether ``(a2^p1 b1^p2, p2 q1) == (a1^p2 b2^p1, p1 q2)``."""
-        if first == second:  # pure optimization, observably equivalent
+        if first == second:  # equal fractions skip the four powers, their size bound and the input checks
             return True
         a2, p2 = self._check_element(second.den).multiplier, second.den.exponent
         a1, p1 = self._check_element(first.den).multiplier, first.den.exponent

@@ -53,7 +53,6 @@ point is ``(level, payload)``, as in ``(2, 5)``.
 
 from __future__ import annotations
 
-import functools
 import random
 import re
 from fractions import Fraction
@@ -192,12 +191,6 @@ def default_tower_config() -> TowerConfig:
 _LETTER = re.compile(r"(?:F|P(?P<level>[0-9]+))(?:\^(?P<exp>-?[0-9]+))?")
 
 
-def _letter(match: re.Match, exponent: int) -> TowerMap:
-    if match["level"] is None:
-        return TowerMap((), exponent)
-    return TowerMap(((int(match["level"]), exponent),), 0)
-
-
 def _merged(low, low_lift: int, high, high_lift: int) -> dict[int, int]:
     """``low↑low_lift ⊕ high↑high_lift``: two ``level_powers`` shifted up, exponents added."""
     merged = {level + low_lift: k for level, k in low}
@@ -285,7 +278,7 @@ class Tower(Instance):
 
     def frac_equal(self, first: GroupFraction, second: GroupFraction) -> bool:
         """Whether ``a2 + b1 == a1 + b2`` and ``D2↑a1 ⊕ N1↑a2 == D1↑a2 ⊕ N2↑a1``."""
-        if first == second:  # pure optimization, observably equivalent
+        if first == second:  # equal fractions skip both merges, and so their input checks
             return True
         d2, d1 = self._check_element(second.den), self._check_element(first.den)
         n1, n2 = self._check_element(first.num), self._check_element(second.num)
@@ -317,8 +310,16 @@ class Tower(Instance):
         return TowerPoint(rng.randint(1, 7), rng.randint(-8, 8))
 
     def parse_element(self, text: str, offset: int = 0) -> TowerMap:
-        letters = word_letters(text, offset, _LETTER, "P<level>^k ... F^n", "F^n or P<level>^k")
-        return functools.reduce(self.compose, (_letter(m, k) for m, k in letters))
+        powers: dict[int, int] = {}  # the letters in written order: P_j moves up past earlier Fs
+        shift = 0
+        for m, k in word_letters(text, offset, _LETTER, "P<level>^k ... F^n", "F^n or P<level>^k"):
+            if m["level"] is None:
+                shift += k
+                continue
+            level = require_int(int(m["level"]), "squeeze level", 1) + shift
+            if k:
+                powers[level] = powers.get(level, 0) + k
+        return _normal(powers, shift)
 
     def element_text(self, f: TowerMap) -> str:
         return " ".join([*(f"P{level}^{k}" for level, k in f.level_powers), f"F^{f.shift}"])

@@ -47,14 +47,13 @@ it by position.  A base is split-free through a length ``L`` when no two
 words up to ``L`` agree on ``g``'s images (the tail) while differing on
 the samples (the head); that holds exactly when the union actions of
 lengths ``1..L`` give as many tails as (head, tail) pairs, two set
-sizes.  Pairs of lengths within it hold no counterexample, and pairs
-within the length through which every base of ``g``'s length is
-split-free are skipped outright.  A base that splits reads its first
-split off the union layers too: they come in the order of their first
-words, and two union actions with one head and tail act alike on the
-base, so each action on it keeps its first word.  The union visits the
-same (generator, point) pairs as the bases would one by one, so
-generator calls and reports are unchanged.  Nothing is kept between calls.
+sizes.  Pairs of lengths within it hold no counterexample.  A base that
+splits reads its first split off the union layers too: they come in the
+order of their first words, and two union actions with one head and tail
+act alike on the base, so each action on it keeps its first word.  The
+union visits the same (generator, point) pairs as the bases would one by
+one, so generator calls and reports are unchanged.  Nothing is kept
+between calls.
 
 One call counts at most :data:`MAX_SEARCH_BYTES`: the ``__sizeof__`` of
 its interned points, plus an estimate of the tables and layers that
@@ -326,7 +325,6 @@ class _Bases:
         self.fulls = [itemgetter(*heads, *map(at.__getitem__, image)) for image in self.words]
         self.free = [0] * len(self.words)
         self.split = [False] * len(self.words)
-        self.all_free = 0  # every base is split-free through this length
         # the distinct union actions in order of length, and how many have length <= k
         self._seen: dict[tuple[int, ...], None] = {}
         self._ends = [0]
@@ -372,15 +370,12 @@ class _Bases:
     def counterexamples(self, len1: int, len2: int) -> list:
         """Each base's first ``(f1, f2, g)`` with ``f1, f2`` of lengths ``len1, len2``."""
         length = max(len1, len2)
-        if length <= self.all_free:
-            return []
         found = []
         for i, g in enumerate(self.words.values()):
             if not self._free_through(i, length):
                 pair = self._first_split(i, len1, len2)
                 if pair is not None:
                     found.append((*pair, g))
-        self.all_free = min(self.free)
         return found
 
 

@@ -4,9 +4,11 @@ Every public value type, ``AffineLattice``, ``Tower.from_rules`` and
 ``create_instance`` is called with each value, or each ordered pair of
 values, of one pool: ``None``, strings, floats (``nan`` and ``inf``
 too), bools, empty and nested containers, ``Fraction``, 0, -1, an int of
-5,000 digits, ``object()`` and a few seeded random nests of those.  A
-call may build a value; if it raises, the error is a ``DomainError`` or a
-``UsageError``, never another exception of Python's own.
+5,000 digits, ``object()`` and a few seeded random nests of those.  An
+``AffineLattice`` of each dimension in the pool also applies a 1-D map
+and takes the value of a 1-D class.  A call may build a value; if it
+raises, the error is a ``DomainError`` or a ``UsageError``, never another
+exception of Python's own.
 """
 
 import random
@@ -20,6 +22,7 @@ from pseudoquotients import (
     DomainError,
     DyadicStepMap,
     PowerAffineMap,
+    Pseudoquotient,
     RootValue,
     StepFunction,
     Tower,
@@ -49,10 +52,13 @@ def _nest(rng, depth):
 _rng = random.Random(34)
 POOL = ATOMS + CONTAINERS + [_nest(_rng, 3) for _ in range(11)]
 
+_ONE_D = AffineLatticeMap(((1,),), (0,))
 # each takes one pool value where its arguments are
 UNARY = {
     "StepFunction": StepFunction,
     "AffineLattice": AffineLattice,
+    "AffineLattice apply": lambda a: AffineLattice(a).apply(_ONE_D, (1,)),
+    "AffineLattice canonical_value": lambda a: AffineLattice(a).canonical_value(Pseudoquotient((1,), _ONE_D)),
     "Tower.from_rules": Tower.from_rules,
     "create_instance": create_instance,
     "create_instance dim": lambda a: create_instance("affine-lattice", dim=a),

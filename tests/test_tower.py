@@ -1,5 +1,6 @@
 """Tower instance: commuting squares, normal forms versus pointwise action."""
 
+import functools
 import json
 import random
 import time
@@ -247,6 +248,28 @@ def test_compose_associative(rng):
     for _ in range(200):
         f, g, h = (tw.random_element(rng) for _ in range(3))
         assert tw.compose(f, tw.compose(g, h)) == tw.compose(tw.compose(f, g), h)
+
+
+def test_a_word_parses_to_the_composition_of_its_letters():
+    letters = {
+        "F": TowerMap((), 1),
+        "F^0": TowerMap((), 0),
+        "F^3": TowerMap((), 3),
+        "P1": TowerMap(((1, 1),), 0),
+        "P2": TowerMap(((2, 1),), 0),
+        "P2^0": TowerMap(((2, 0),), 0),
+        "P3^2": TowerMap(((3, 2),), 0),
+        "P10": TowerMap(((10, 1),), 0),
+        "P01^1": TowerMap(((1, 1),), 0),
+    }
+    rng = random.Random(35)
+    for _ in range(500):
+        word = rng.choices(list(letters), k=rng.randint(1, 12))
+        composed = functools.reduce(tw.compose, map(letters.__getitem__, word))
+        assert tw.parse_element(" ".join(word)) == composed, word
+    # a bad level is refused where the letter stands, as TowerMap refuses it
+    with pytest.raises(DomainError, match=r"^squeeze level must be >= 1, got 0$"):
+        tw.parse_element("F P1 P0^0 F")
 
 
 def test_ore_frozen_example():

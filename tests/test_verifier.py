@@ -24,6 +24,7 @@ from pseudoquotients import (
 )
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "cancellation_fail.json"
+INT_DOMAIN = FIXTURE.with_name("int_domain.json")
 
 
 def int_presentation(gens, samples, depth):
@@ -385,6 +386,16 @@ def test_the_budget_counts_the_size_of_each_point(monkeypatch):
     with pytest.raises(DomainError, match=r"word length \d+"):
         verify(presentation_from_config({**config, "max_depth": 10**6}))
     assert verify(presentation_from_config({**config, "max_depth": 5})).injectivity.ok
+
+
+def test_a_passing_search_fits_its_union_base_in_32_mb(monkeypatch):
+    # no sample certificate holds here, so right cancellation passes by search: the
+    # union base counts about 11 MB, and layers on each base of g's images 73 MB
+    monkeypatch.setattr(verifier, "MAX_SEARCH_BYTES", 32 << 20)
+    config = {**json.loads(INT_DOMAIN.read_text()), "max_depth": 9}
+    report = verify(presentation_from_config(config))
+    assert report.cancellation.ok
+    assert report.validated is True
 
 
 def test_unbounded_depth_exits_1_within_the_budget_under_a_memory_limit(tmp_path):
